@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +48,11 @@ class CheckReport:
 
 
 class ResidualTracker:
-    """Collects (witness, residual) pairs and turns them into a CheckReport."""
+    """Collects (witness, residual) pairs and turns them into a CheckReport.
+
+    The report fails when no case was added, and when a residual was NaN or
+    infinite: the first such case is then the witness, whatever came after.
+    """
 
     def __init__(self, check_name: str, tolerance, params: dict | None = None,
                  seed: int | None = None):
@@ -58,11 +63,15 @@ class ResidualTracker:
         self.worst = None
         self.worst_witness = None
         self.all_exact = True
+        self.nonfinite = None  # (witness, residual) of the first NaN or inf
         self._start = time.perf_counter()
 
     def add(self, witness, residual) -> None:
         if not isinstance(residual, (int, Fraction)):
             self.all_exact = False
+            # a NaN compares false with everything, so the max below drops it
+            if self.nonfinite is None and not math.isfinite(residual):
+                self.nonfinite = (witness, residual)
         if self.worst is None or residual > self.worst:
             self.worst = residual
             self.worst_witness = witness
@@ -72,8 +81,12 @@ class ResidualTracker:
 
     def report(self, extra_params: dict | None = None) -> CheckReport:
         runtime_ms = int((time.perf_counter() - self._start) * 1000)
-        worst = self.max_residual()
-        ok = worst <= self.tolerance
+        worst, witness = self.max_residual(), self.worst_witness
+        if self.nonfinite is not None:
+            witness, worst = self.nonfinite
+        elif self.worst is None:
+            witness = ["no cases examined"]
+        ok = self.worst is not None and worst <= self.tolerance
         if ok and self.all_exact and worst == 0:
             residual_out: float | str = EXACT_ZERO
         else:
@@ -87,7 +100,7 @@ class ResidualTracker:
             params=params,
             status="pass" if ok else "fail",
             max_residual=residual_out,
-            witness=None if ok else _as_jsonable(self.worst_witness),
+            witness=None if ok else _as_jsonable(witness),
             seed=self.seed,
             runtime_ms=runtime_ms,
         )

@@ -49,6 +49,12 @@ class TestBasicCommands:
         assert report["params"]["counts"]["4"] == 14
         assert report["status"] == "pass"
 
+    def test_nc_enumerate_no_sizes_fails(self, capsys):
+        assert main(["nc", "enumerate", "--m", "-1"]) != 0
+        (report,) = read_reports(capsys)
+        assert report["status"] == "fail"
+        assert report["witness"] == ["no cases examined"]
+
     def test_nc_mobius(self, capsys):
         assert main(["nc", "mobius", "--m", "4"]) == 0
         reports = read_reports(capsys)

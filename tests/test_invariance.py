@@ -14,7 +14,14 @@ from qspread.invariance import (
     random_insert_words,
     suite_words,
 )
-from qspread.linalg import dagger, projection_pair, random_unitary, residual_norm
+from qspread.linalg import (
+    dagger,
+    projection_pair,
+    random_rational_matrix,
+    random_unitary,
+    rational_zeros,
+    residual_norm,
+)
 from qspread.moments import (
     FreeSequence,
     IndependentSequence,
@@ -22,7 +29,7 @@ from qspread.moments import (
     random_matrix_law,
     semicircular_law,
 )
-from qspread.partitions import MobiusCache, Partition
+from qspread.partitions import MobiusCache, Partition, enumerate_nc
 from qspread.qis import (
     Representation,
     build_block_rep,
@@ -39,6 +46,39 @@ CACHE = MobiusCache()
 
 def projection_perm_rep(theta=0.8):
     return two_point_rep(projection_pair(theta)[1])
+
+
+def enumerated_kernel_sum(rep, part, targets):
+    """Brute-force oracle for kernel_constrained_sum: one product for every
+    blockwise-constant row tuple, leaving out only the tuples with an exactly
+    zero factor.  Valid for crossing partitions too."""
+    mask = rep.nonzero_mask()
+    choices = [
+        [v for v in range(1, rep.n + 1)
+         if mask is None or all(mask[(v, targets[p - 1])] for p in block)]
+        for block in part.blocks
+    ]
+    total = rep.zero()
+    for assignment in itertools.product(*choices):
+        rows = [0] * part.m
+        for value, block in zip(assignment, part.blocks):
+            for pos in block:
+                rows[pos - 1] = value
+        product = rep.gen(rows[0], targets[0])
+        for i, j in zip(rows[1:], targets[1:]):
+            product = product @ rep.gen(i, j)
+        total = total + product
+    return total
+
+
+def fold_and_oracle(rep, max_len):
+    """(case, fold, enumeration) for every non-crossing partition of size up
+    to max_len and every target tuple."""
+    for m in range(1, max_len + 1):
+        for part in enumerate_nc(m):
+            for targets in itertools.product(range(1, rep.k + 1), repeat=m):
+                yield ((part, targets), kernel_constrained_sum(rep, part, targets),
+                       enumerated_kernel_sum(rep, part, targets))
 
 
 class TestKernelConstrainedSum:
@@ -64,10 +104,54 @@ class TestKernelConstrainedSum:
         report = check_kernel_sums(rep, max_len=3, tolerance=1e-10, cache=CACHE)
         assert report.passed, report.max_residual
 
+    def test_crossing_partition_rejected(self):
+        rep = permutation_rep((2, 1, 3, 4))
+        crossing = Partition(4, [(1, 3), (2, 4)])
+        with pytest.raises(ValueError, match="crossing"):
+            kernel_constrained_sum(rep, crossing, (1, 2, 1, 2))
+
+    def test_targets_beyond_columns_rejected(self):
+        with pytest.raises(ValueError):
+            kernel_constrained_sum(two_projection_rep(0.4), Partition.full(1), (3,))
+
     def test_increasing_rep_targets_bounded_by_k(self):
         rep = two_projection_rep(0.4)
         report = check_kernel_sums(rep, max_len=3, tolerance=1e-10, cache=CACHE)
         assert report.passed, report.max_residual
+
+
+class TestFoldMatchesEnumeration:
+    """The nesting-tree fold against the brute-force enumeration, on every
+    non-crossing partition and every target tuple."""
+
+    def test_permutation_reps_exact(self):
+        for n in (1, 2, 3):
+            for perm in itertools.permutations(range(1, n + 1)):
+                for case, folded, enumerated in fold_and_oracle(permutation_rep(perm), 5):
+                    assert np.array_equal(folded, enumerated), (perm, case)
+
+    def test_classical_point_reps_exact(self):
+        for n in range(1, 5):
+            for k in range(1, n + 1):
+                for l in enumerate_increasing(k, n):
+                    for case, folded, enumerated in fold_and_oracle(classical_point_rep(l), 5):
+                        assert np.array_equal(folded, enumerated), (l.values, case)
+
+    def test_unrelated_exact_family(self):
+        # The fold is an identity of sums, not a consequence of the defining
+        # relations: on generators that satisfy none of them the sums are not
+        # 0 or 1, so the order of the factors and of the blocks shows.
+        rng = np.random.default_rng(5)
+        gens = {(i, j): random_rational_matrix(2, 2, rng) for i in range(1, 4) for j in (1, 2)}
+        gens[(2, 1)] = gens[(3, 2)] = rational_zeros(2)
+        rep = Representation(kind="increasing", k=2, n=3, gens=gens, dim=2)
+        for case, folded, enumerated in fold_and_oracle(rep, 4):
+            assert np.array_equal(folded, enumerated), case
+
+    def test_extended_rep_to_roundoff(self):
+        rep = quantum_extension(two_projection_rep(0.65))
+        for case, folded, enumerated in fold_and_oracle(rep, 4):
+            assert residual_norm(folded - enumerated) <= 1e-12, case
 
 
 class TestExchangeable:
