@@ -30,15 +30,11 @@ from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .linalg import projection_pair
 from .reports import CheckReport, ResidualTracker, error_report
 from .suites import (
-    bvalued_checks,
-    exchangeable_checks,
     merge_config,
     mobius_checks,
     nc_count_checks,
-    psi_checks,
-    reconstruction_checks,
     run_all,
-    spreadable_checks,
+    run_section,
 )
 
 CONFIG_ENV_VAR = "QSPREAD_CONFIG"
@@ -163,18 +159,17 @@ def cmd_qperm_magic(args, config) -> list[CheckReport]:
 def cmd_inv(args, config) -> list[CheckReport]:
     cache = MobiusCache()
     if args.sub == "exchangeable":
-        return exchangeable_checks(config, cache)
-    return spreadable_checks(config, cache) + bvalued_checks(config, cache)
+        return run_section("exchangeable", config, cache)
+    return run_section("spreadable", config, cache) + run_section("bvalued", config, cache)
 
 
 def cmd_wg(args, config) -> list[CheckReport]:
-    cache = MobiusCache()
     if args.sub == "psi":
         config = merge_config(
             {**config, "psi": {"k_max": args.k, "n_max": args.n, "m_max": args.mmax}}
         )
-        return psi_checks(config, cache)
-    return reconstruction_checks(config, cache)
+        return run_section("psi", config)
+    return run_section("reconstruction", config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError and ConfigError too
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 2
 

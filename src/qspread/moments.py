@@ -31,7 +31,7 @@ from .linalg import (
     random_rational_symmetric,
     residual_norm,
 )
-from .partitions import MobiusCache, Partition, default_cache, kernel, leq
+from .partitions import MobiusCache, Partition, default_cache, kernel
 
 CATALAN_CAP = 64
 
@@ -273,12 +273,10 @@ def free_iid_moment(law, word: Word, cache: MobiusCache | None = None):
     of the sequence throughout the package.
     """
     cache = cache or default_cache()
-    ker = kernel(word.indices)
     single = word.with_indices((1,) * word.length)
     total = law.zero()
-    for part in cache.nc(word.length):
-        if leq(part, ker):
-            total = total + partition_cumulant(law, part, single, cache)
+    for part in cache.below(kernel(word.indices)):
+        total = total + partition_cumulant(law, part, single, cache)
     return total
 
 

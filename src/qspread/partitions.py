@@ -1,8 +1,12 @@
 """Set partitions of {1..m}, the non-crossing lattice, and its Mobius function.
 
-Partitions are stored in canonical form: blocks are sorted tuples, listed in
-increasing order of their minima.  Ground sets are always {1..m}; callers
-working with other ordered sets relabel by position first.
+A partition is keyed by its restricted growth string (RGS; Knuth, TAOCP 4A,
+7.2.1.5): entry x-1 labels the block of x, blocks labelled 0, 1, 2, ... by
+increasing minimum.  Equality and hashing are those of the RGS, ``kernel``
+reads an index tuple in one pass, and ``leq`` and ``meet`` are linear scans
+over two RGS.  The blocks (sorted tuples, by increasing minimum) are built on
+first use.  Ground sets are always {1..m}; callers working with other ordered
+sets relabel by position first.
 
 All Mobius values are exact (Python integers, which embed in the rationals
 used downstream).
@@ -16,6 +20,8 @@ from typing import Iterable, Iterator, Sequence
 
 NC_ENUMERATION_LIMIT = 12
 
+_set = object.__setattr__
+
 
 class GroundSetError(ValueError):
     """Two partitions live on different ground sets."""
@@ -25,41 +31,48 @@ class OrderError(ValueError):
     """A Mobius query with arguments not comparable in the lattice."""
 
 
-class Partition:
-    """A partition of {1..m} with canonically ordered blocks.
+def kernel_rgs(indices: Iterable) -> tuple[int, ...]:
+    """``kernel(indices).rgs``, without building the partition."""
+    first: dict = {}
+    return tuple([first.setdefault(v, len(first)) for v in indices])
 
-    Immutable and hashable; the non-crossing flag is computed on first use
-    and cached.
+
+class Partition:
+    """A partition of {1..m}, keyed by its RGS, with canonically ordered blocks.
+
+    Immutable and hashable; the blocks and the non-crossing flag are
+    computed on first use and cached.  The constructor validates its input;
+    ``Partition._of`` wraps an RGS that is valid by construction.
     """
 
-    __slots__ = ("m", "blocks", "_block_of", "_noncrossing", "_hash")
+    __slots__ = ("m", "rgs", "_blocks", "_noncrossing")
 
-    def __init__(self, m: int, blocks: Iterable[Iterable[int]]):
+    def __new__(cls, m: int, blocks: Iterable[Iterable[int]]) -> "Partition":
         if m < 0:
             raise ValueError(f"ground-set size must be >= 0, got {m}")
-        cleaned = [tuple(sorted(b)) for b in blocks]
-        if any(not b for b in cleaned):
-            raise ValueError("empty block")
-        canon = tuple(sorted(cleaned, key=lambda b: b[0]))
-        seen: set[int] = set()
-        for block in canon:
+        labels = [None] * m
+        for idx, block in enumerate(map(tuple, blocks)):
+            if not block:
+                raise ValueError("empty block")
             for x in block:
                 if not 1 <= x <= m:
                     raise ValueError(f"element {x} outside ground set {{1..{m}}}")
-                if x in seen:
+                if labels[x - 1] is not None:
                     raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
-        if len(seen) != m:
+                labels[x - 1] = idx
+        if None in labels:
             raise ValueError("blocks do not cover the ground set")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "blocks", canon)
-        block_of = {}
-        for idx, block in enumerate(canon):
-            for x in block:
-                block_of[x] = idx
-        object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_noncrossing", None)
-        object.__setattr__(self, "_hash", hash((m, canon)))
+        return cls._of(kernel_rgs(labels))
+
+    @classmethod
+    def _of(cls, rgs: tuple[int, ...], blocks=None) -> "Partition":
+        """The partition with restricted growth string ``rgs``, unchecked."""
+        p = object.__new__(cls)
+        _set(p, "m", len(rgs))
+        _set(p, "rgs", rgs)
+        _set(p, "_blocks", blocks)
+        _set(p, "_noncrossing", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -67,58 +80,63 @@ class Partition:
     @staticmethod
     def singletons(m: int) -> "Partition":
         """The minimum of P(m): every element alone."""
-        return Partition(m, [(i,) for i in range(1, m + 1)])
+        return Partition._of(tuple(range(m)))
 
     @staticmethod
     def full(m: int) -> "Partition":
         """The maximum of P(m): one block (empty partition when m = 0)."""
-        return Partition(m, [tuple(range(1, m + 1))] if m else [])
+        return Partition._of((0,) * m)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted blocks by increasing minimum; ``blocks[i]`` has label i."""
+        if self._blocks is None:
+            members: list[list[int]] = [[] for _ in range(max(self.rgs, default=-1) + 1)]
+            for x, label in enumerate(self.rgs, start=1):
+                members[label].append(x)
+            _set(self, "_blocks", tuple(map(tuple, members)))
+        return self._blocks
 
     def size(self) -> int:
         """Number of blocks."""
         return len(self.blocks)
 
     def block_index(self, x: int) -> int:
-        return self._block_of[x]
+        return self.rgs[x - 1]
 
     def same_block(self, x: int, y: int) -> bool:
-        return self._block_of[x] == self._block_of[y]
+        return self.rgs[x - 1] == self.rgs[y - 1]
 
     def is_noncrossing(self) -> bool:
         flag = self._noncrossing
         if flag is None:
-            flag = _noncrossing_scan(self)
-            object.__setattr__(self, "_noncrossing", flag)
+            flag = _noncrossing_scan(self.rgs)
+            _set(self, "_noncrossing", flag)
         return flag
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.m == other.m
-            and self.blocks == other.blocks
-        )
+        return isinstance(other, Partition) and self.rgs == other.rgs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rgs)
 
     def __repr__(self) -> str:
         inner = "/".join(",".join(map(str, b)) for b in self.blocks)
         return f"Partition({self.m}: {inner})"
 
 
-def _noncrossing_scan(p: Partition) -> bool:
-    # s1 < t1 < s2 < t2 with s's and t's in two distinct blocks.
-    for x in range(1, p.m + 1):
-        for y in range(x + 1, p.m + 1):
-            if p.same_block(x, y):
-                continue
-            # look for x < y < x' < y' with x~x', y~y'
-            for x2 in range(y + 1, p.m + 1):
-                if not p.same_block(x, x2):
-                    continue
-                for y2 in range(x2 + 1, p.m + 1):
-                    if p.same_block(y, y2):
-                        return False
+def _noncrossing_scan(rgs: tuple[int, ...]) -> bool:
+    # Reading left to right, each element must join the innermost block still
+    # open; if its block is open further out, the blocks in between cross it.
+    last = {label: x for x, label in enumerate(rgs)}
+    stack: list[int] = []
+    for x, label in enumerate(rgs):
+        if not stack or stack[-1] != label:
+            if label in stack:
+                return False
+            stack.append(label)
+        if x == last[label]:
+            stack.pop()
     return True
 
 
@@ -131,31 +149,22 @@ def kernel(indices: Sequence) -> Partition:
     """Partition of positions {1..m} grouping equal values of ``indices``."""
     if not indices:
         raise ValueError("kernel of an empty index tuple")
-    classes: dict = {}
-    for pos, value in enumerate(indices, start=1):
-        classes.setdefault(value, []).append(pos)
-    return Partition(len(indices), classes.values())
+    return Partition._of(kernel_rgs(indices))
 
 
 def leq(p: Partition, q: Partition) -> bool:
     """True iff every block of p is contained in a block of q."""
     if p.m != q.m:
         raise GroundSetError(f"ground sets differ: {p.m} vs {q.m}")
-    for block in p.blocks:
-        root = q.block_index(block[0])
-        if any(q.block_index(x) != root for x in block[1:]):
-            return False
-    return True
+    # p <= q iff each label of p meets exactly one label of q
+    return len(set(zip(p.rgs, q.rgs))) == max(p.rgs, default=-1) + 1
 
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Common refinement: x ~ y iff x ~ y in both p and q."""
     if p.m != q.m:
         raise GroundSetError(f"ground sets differ: {p.m} vs {q.m}")
-    classes: dict = {}
-    for x in range(1, p.m + 1):
-        classes.setdefault((p.block_index(x), q.block_index(x)), []).append(x)
-    return Partition(p.m, classes.values())
+    return Partition._of(kernel_rgs(zip(p.rgs, q.rgs)))
 
 
 def join(p: Partition, q: Partition) -> Partition:
@@ -174,26 +183,15 @@ def join(p: Partition, q: Partition) -> Partition:
         for block in part.blocks:
             for x in block[1:]:
                 parent[find(x)] = find(block[0])
-    classes: dict = {}
-    for x in range(1, p.m + 1):
-        classes.setdefault(find(x), []).append(x)
-    return Partition(p.m, classes.values())
+    return Partition._of(kernel_rgs([find(x) for x in range(1, p.m + 1)]))
 
 
 def enumerate_all(m: int) -> Iterator[Partition]:
-    """All of P(m), by the usual insert-largest-element recursion."""
-
-    def rec(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if n == 0:
-            yield ()
-            return
-        for smaller in rec(n - 1):
-            yield smaller + ((n,),)
-            for i, block in enumerate(smaller):
-                yield smaller[:i] + (block + (n,),) + smaller[i + 1 :]
-
-    for blocks in rec(m):
-        yield Partition(m, blocks)
+    """All of P(m): every RGS of length m, in lexicographic order."""
+    strings: list[tuple[int, ...]] = [()]
+    for _ in range(m):
+        strings = [r + (label,) for r in strings for label in range(max(r, default=-1) + 2)]
+    return map(Partition._of, strings)
 
 
 def enumerate_nc(m: int, limit: int = NC_ENUMERATION_LIMIT) -> list[Partition]:
@@ -227,7 +225,13 @@ def enumerate_nc(m: int, limit: int = NC_ENUMERATION_LIMIT) -> list[Partition]:
                 for combo in itertools.product(*(list(rec(s)) for s in segments)):
                     yield (block,) + tuple(itertools.chain.from_iterable(combo))
 
-    return [Partition(m, blocks) for blocks in rec(tuple(range(1, m + 1)))]
+    # The gaps follow the first block in increasing order, so the blocks come
+    # out by increasing minimum: block i carries RGS label i.
+    def of_blocks(blocks: tuple[tuple[int, ...], ...]) -> Partition:
+        owner = {x: label for label, block in enumerate(blocks) for x in block}
+        return Partition._of(tuple(owner[x] for x in range(1, m + 1)), blocks)
+
+    return [of_blocks(blocks) for blocks in rec(tuple(range(1, m + 1)))]
 
 
 def catalan(m: int) -> int:
@@ -236,7 +240,9 @@ def catalan(m: int) -> int:
 
 
 class MobiusCache:
-    """Memoized Mobius function of the NC(m) lattices, m up to ``limit``.
+    """The one context object, for NC(m) with m up to ``limit``: NC(m) per m;
+    per RGS, the NC elements below a partition (crossing or not) in the order
+    of NC(m); the Mobius memo; and the state memos of ``weingarten``.
 
     Fill is single-threaded on demand; afterwards reads are lookups into
     plain dicts, safe to share.
@@ -245,8 +251,10 @@ class MobiusCache:
     def __init__(self, limit: int = NC_ENUMERATION_LIMIT):
         self.limit = limit
         self._nc: dict[int, tuple[Partition, ...]] = {}
-        self._below: dict[Partition, tuple[Partition, ...]] = {}
+        self._below: dict[tuple[int, ...], tuple[Partition, ...]] = {}
         self._mu: dict[tuple[Partition, Partition], int] = {}
+        self._weight_memo: dict = {}
+        self._column_memo: dict = {}
 
     def nc(self, m: int) -> tuple[Partition, ...]:
         """The non-crossing partitions of {1..m} (cached)."""
@@ -255,10 +263,12 @@ class MobiusCache:
         return self._nc[m]
 
     def below(self, p: Partition) -> tuple[Partition, ...]:
-        """Non-crossing partitions <= p (cached; includes p)."""
-        if p not in self._below:
-            self._below[p] = tuple(s for s in self.nc(p.m) if leq(s, p))
-        return self._below[p]
+        """Non-crossing partitions <= p, in the order of ``nc`` (cached per
+        RGS; p may be crossing, and is included when it is not)."""
+        down = self._below.get(p.rgs)
+        if down is None:
+            down = self._below[p.rgs] = tuple(s for s in self.nc(p.m) if leq(s, p))
+        return down
 
     def mobius(self, s: Partition, p: Partition) -> int:
         """mu(s, p) on NC(m); requires s <= p, both non-crossing."""

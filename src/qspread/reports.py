@@ -33,7 +33,9 @@ class CheckReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report as plain JSON values; a NaN or infinite float anywhere
+        in it becomes the string "nan", "inf" or "-inf"."""
+        return _finite_json({
             "check_name": self.check_name,
             "params": self.params,
             "status": self.status,
@@ -41,10 +43,20 @@ class CheckReport:
             "witness": self.witness,
             "seed": self.seed,
             "runtime_ms": self.runtime_ms,
-        }
+        })
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
+
+
+def _finite_json(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _finite_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v) for v in value]
+    return value
 
 
 class ResidualTracker:
@@ -86,7 +98,7 @@ class ResidualTracker:
             witness, worst = self.nonfinite
         elif self.worst is None:
             witness = ["no cases examined"]
-        ok = self.worst is not None and worst <= self.tolerance
+        ok = self.worst is not None and self.nonfinite is None and worst <= self.tolerance
         if ok and self.all_exact and worst == 0:
             residual_out: float | str = EXACT_ZERO
         else:

@@ -37,6 +37,7 @@ from .partitions import (
     MobiusCache,
     Partition,
     catalan,
+    enumerate_all,
     kernel,
     leq,
     mobius_column_oracle,
@@ -88,17 +89,47 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+class ConfigError(ValueError):
+    """A config key that DEFAULT_CONFIG lacks, or a value of the wrong type."""
+
+
 def merge_config(overrides: dict | None) -> dict:
-    def deep(base, over):
+    """DEFAULT_CONFIG with ``overrides`` merged in, key by key.
+
+    Every key must exist in DEFAULT_CONFIG, with a value of the default's
+    type (an int passes for a float, a bool never for a number); only the
+    keys inside ``law`` are free-form.  Raises ConfigError naming the
+    dotted path of the first offending key.
+    """
+    def deep(base, over, path):
         out = dict(base)
-        for key, value in (over or {}).items():
-            if isinstance(value, dict) and isinstance(base.get(key), dict):
-                out[key] = deep(base[key], value)
-            else:
+        for key, value in over.items():
+            where = f"{path}.{key}" if path else key
+            if key not in base:
+                raise ConfigError(f"unknown config key {where!r}")
+            if isinstance(base[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config key {where!r} must be an object")
+                free_form = where == "law"
+                out[key] = {**base[key], **value} if free_form else deep(base[key], value, where)
+            elif _same_type(value, base[key]):
                 out[key] = value
+            else:
+                raise ConfigError(f"config key {where!r} must be "
+                                  f"{type(base[key]).__name__}, got {value!r}")
         return out
 
-    return deep(DEFAULT_CONFIG, overrides or {})
+    if not isinstance(overrides or {}, dict):
+        raise ConfigError("the config must be a JSON object")
+    return deep(DEFAULT_CONFIG, overrides or {}, "")
+
+
+def _same_type(value, default) -> bool:
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _parse_scalar(value):
@@ -478,20 +509,9 @@ def psi_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
 
 
 def _kernel_pattern_tuples(m: int) -> list[tuple[int, ...]]:
-    """One canonical target tuple per set-partition kernel of {1..m}."""
-    patterns = []
-    seen = set()
-    for tup in itertools.product(range(1, m + 1), repeat=m):
-        normalized = []
-        order = {}
-        for v in tup:
-            order.setdefault(v, len(order) + 1)
-            normalized.append(order[v])
-        normalized = tuple(normalized)
-        if normalized not in seen:
-            seen.add(normalized)
-            patterns.append(normalized)
-    return patterns
+    """One canonical target tuple per set-partition kernel of {1..m}: the
+    RGS of each partition, counted from 1, in lexicographic order."""
+    return [tuple(label + 1 for label in p.rgs) for p in enumerate_all(m)]
 
 
 def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
@@ -505,10 +525,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
     )
     for m in range(1, cfg["unit_m_max"] + 1):
         for cols in _kernel_pattern_tuples(m):
-            ker_cols = kernel(cols)
-            for tau in cache.nc(m):
-                if not leq(tau, ker_cols):
-                    continue
+            for tau in cache.below(kernel(cols)):
                 for n in range(1, cfg["unit_n_max"] + 1):
                     value = combinatorial_unit_identity(tau, cols, n, cache)
                     tracker.add(

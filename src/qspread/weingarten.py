@@ -14,8 +14,12 @@ moment-cumulant recursion restricted below the column kernel, which is how
 freeness determines mixed moments.  Their exact agreement is an acceptance
 gate.
 
-Everything here runs on exact rationals; no floating point enters except in
-the positivity evidence, where eigenvalues of a Gram matrix are examined.
+Everything here is exact; no floating point enters except in the positivity
+evidence, where eigenvalues of a Gram matrix are examined.  Each route sums
+integers and divides by n^m once: a closed-form term 1/n^{|sigma|} has
+|sigma| <= m, and an oracle term is a product of block cumulants whose block
+sizes add up to m, each cumulant times n^{size} being an integer.  Memos live
+in the ``MobiusCache`` passed in, keyed by RGS.
 """
 from __future__ import annotations
 
@@ -32,13 +36,11 @@ from .partitions import (
     Partition,
     default_cache,
     kernel,
+    kernel_rgs,
     leq,
     meet,
 )
 from .reports import CheckReport, ResidualTracker
-
-_weight_memo: dict = {}
-_column_memo: dict = {}
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,17 @@ class BlockQuery:
         m = len(self.rows)
         if m < 1 or len(self.cols) != m:
             raise ValueError("rows and cols must have equal positive length")
-        if any(not 1 <= l <= self.k * self.n for l in self.rows):
+        if not 1 <= min(self.rows) <= max(self.rows) <= self.k * self.n:
             raise ValueError(f"row index out of range 1..{self.k * self.n}")
-        if any(not 1 <= j <= self.k for j in self.cols):
+        if not 1 <= min(self.cols) <= max(self.cols) <= self.k:
             raise ValueError(f"column index out of range 1..{self.k}")
+
+    @classmethod
+    def _of(cls, k: int, n: int, rows: tuple[int, ...], cols: tuple[int, ...]):
+        """A query that is valid by construction, built without the checks."""
+        q = object.__new__(cls)
+        q.__dict__.update(k=k, n=n, rows=rows, cols=cols)
+        return q
 
     def in_band(self) -> bool:
         return all(
@@ -74,51 +83,28 @@ class BlockQuery:
         return tuple(l - (j - 1) * self.n for l, j in zip(self.rows, self.cols))
 
 
-def _kernel_weight(
-    col_kernel: Partition, band_kernel: Partition, n: int, cache: MobiusCache
-) -> Fraction:
-    """Sum over pi <= col_kernel and non-crossing sigma <= pi meet band_kernel
-    of mu(sigma, pi) / n^{|sigma|}."""
-    key = (col_kernel, band_kernel, n)
-    hit = _weight_memo.get(key)
-    if hit is not None:
-        return hit
-    total = Fraction(0)
-    for pi in cache.nc(col_kernel.m):
-        if not leq(pi, col_kernel):
-            continue
-        for sigma in cache.below(pi):
-            if leq(sigma, band_kernel):
-                total += cache.mobius(sigma, pi) * Fraction(1, n ** sigma.size())
-    _weight_memo[key] = total
-    return total
-
-
 def block_state_moment(q: BlockQuery, cache: MobiusCache | None = None) -> Fraction:
     """Closed-form moment of the state: zero off the bands, otherwise the
     Mobius-weighted double sum over non-crossing partitions."""
     if not q.in_band():
         return Fraction(0)
-    cache = cache or default_cache()
-    return _kernel_weight(kernel(q.cols), kernel(q.band_offsets()), q.n, cache)
+    return reconstruction_weight(q.cols, q.band_offsets(), q.n, cache)
 
 
-def _column_cumulant(labels: tuple[int, ...], n: int, cache: MobiusCache) -> Fraction:
-    """Free cumulant of one column's projections, from their moments alone:
-    the moment of a product is 1/n when all labels agree and 0 otherwise."""
-    ker = kernel(labels)
-    key = (ker, n)
-    hit = _column_memo.get(key)
-    if hit is not None:
-        return hit
-    s = len(labels)
-    top = Partition.full(s)
-    total = Fraction(0)
-    for sigma in cache.nc(s):
-        if leq(sigma, ker):
-            total += cache.mobius(sigma, top) * Fraction(1, n ** sigma.size())
-    _column_memo[key] = total
-    return total
+def _column_cumulant(labels: tuple[int, ...], n: int, cache: MobiusCache) -> int:
+    """n^s times the free cumulant of s projections of one column, labelled
+    by the RGS ``labels``, from their moments alone: the moment of a product
+    is 1/n when all labels agree and 0 otherwise.  The cumulant is the sum of
+    mu(sigma, 1_s) / n^{|sigma|} over non-crossing sigma <= ker(labels)."""
+    key = (labels, n)
+    hit = cache._column_memo.get(key)
+    if hit is None:
+        s = len(labels)
+        hit = cache._column_memo[key] = sum(
+            cache.mobius(sigma, Partition.full(s)) * n ** (s - sigma.size())
+            for sigma in cache.below(kernel(labels))
+        )
+    return hit
 
 
 def free_projection_oracle(q: BlockQuery, cache: MobiusCache | None = None) -> Fraction:
@@ -130,19 +116,17 @@ def free_projection_oracle(q: BlockQuery, cache: MobiusCache | None = None) -> F
     moments by Mobius inversion.  Exact rational output.
     """
     cache = cache or default_cache()
+    n = q.n
     offsets = q.band_offsets()
-    col_kernel = kernel(q.cols)
-    total = Fraction(0)
-    for pi in cache.nc(len(q.rows)):
-        if not leq(pi, col_kernel):
-            continue
-        term = Fraction(1)
+    total = 0
+    for pi in cache.below(kernel(q.cols)):
+        term = 1
         for block in pi.blocks:
-            term *= _column_cumulant(tuple(offsets[pos - 1] for pos in block), q.n, cache)
-            if term == 0:
+            term *= _column_cumulant(kernel_rgs(offsets[x - 1] for x in block), n, cache)
+            if not term:
                 break
         total += term
-    return total
+    return Fraction(total, n ** len(q.cols))
 
 
 def reconstruction_weight(
@@ -150,20 +134,26 @@ def reconstruction_weight(
     cache: MobiusCache | None = None,
 ) -> Fraction:
     """Coefficient attached to one replacement tuple when the state is applied
-    to the invariance equation."""
+    to the invariance equation: the sum over non-crossing pi <= ker(cols) and
+    non-crossing sigma <= pi meet ker(band) of mu(sigma, pi) / n^{|sigma|}.
+
+    Summed as the integer numerator of mu(sigma, pi) n^{m - |sigma|} over
+    n^m, and memoized in the cache per pair of kernel RGS."""
     if len(cols) != len(band):
         raise ValueError("tuples must have equal length")
     cache = cache or default_cache()
-    return _kernel_weight(kernel(cols), kernel(band), n, cache)
-
-
-def combined_kernel(cols: tuple[int, ...], band: tuple[int, ...], n: int) -> Partition:
-    """Kernel of the interleaved relabeling r -> (cols_r - 1) n + band_r.
-
-    The relabeling is injective on (column, offset) pairs, so positions agree
-    exactly when both coordinates do: the kernel is the meet of the kernels.
-    """
-    return meet(kernel(cols), kernel(band))
+    col_kernel, band_kernel = kernel(cols), kernel(band)
+    key = (col_kernel.rgs, band_kernel.rgs, n)
+    hit = cache._weight_memo.get(key)
+    if hit is None:
+        m = len(cols)
+        numerator = sum(
+            cache.mobius(sigma, pi) * n ** (m - sigma.size())
+            for pi in cache.below(col_kernel)
+            for sigma in cache.below(meet(pi, band_kernel))
+        )
+        hit = cache._weight_memo[key] = Fraction(numerator, n ** m)
+    return hit
 
 
 def finite_n_reconstruction(
@@ -235,13 +225,13 @@ def oracle_equivalence_sweep(
         for n in range(1, n_max + 1):
             for m in range(1, m_max + 1):
                 for cols in itertools.product(range(1, k + 1), repeat=m):
-                    for band in itertools.product(range(1, n + 1), repeat=m):
-                        rows = tuple((j - 1) * n + i for j, i in zip(cols, band))
-                        q = BlockQuery(k, n, rows, cols)
-                        gap = abs(
-                            block_state_moment(q, cache) - free_projection_oracle(q, cache)
-                        )
-                        tracker.add(("query", k, n, list(rows), list(cols)), gap)
+                    bands = [range((j - 1) * n + 1, j * n + 1) for j in cols]
+                    for rows in itertools.product(*bands):
+                        q = BlockQuery._of(k, n, rows, cols)
+                        psi = block_state_moment(q, cache)
+                        oracle = free_projection_oracle(q, cache)
+                        tracker.add(("query", k, n, rows, cols),
+                                    0 if psi == oracle else abs(psi - oracle))
     for k in range(1, min(k_max, 3) + 1):
         for n in range(1, min(n_max, 3) + 1):
             for m in range(1, min(m_max, 2) + 1):
@@ -249,10 +239,8 @@ def oracle_equivalence_sweep(
                     for rows in itertools.product(range(1, k * n + 1), repeat=m):
                         q = BlockQuery(k, n, rows, cols)
                         if not q.in_band():
-                            tracker.add(
-                                ("off-band", k, n, list(rows), list(cols)),
-                                abs(block_state_moment(q, cache)),
-                            )
+                            tracker.add(("off-band", k, n, rows, cols),
+                                        abs(block_state_moment(q, cache)))
     return tracker.report()
 
 

@@ -181,6 +181,72 @@ class TestSuiteAll:
         assert first == second
 
 
+class TestConfigValidation:
+    def run_config(self, tmp_path, capsys, overrides):
+        code = main(["config", "--config", write_config(tmp_path, overrides)])
+        return code, capsys.readouterr()
+
+    def test_misspelled_section_is_2(self, tmp_path, capsys):
+        code, out = self.run_config(tmp_path, capsys, {"exchangable": {"theta": 0.8}})
+        assert code == 2 and "'exchangable'" in out.err and out.out == ""
+        path = write_config(tmp_path, {"exchangable": {"theta": 0.8}}, "typo.json")
+        assert main(["inv", "exchangeable", "--config", path]) == 2
+
+    def test_nested_unknown_key_names_dotted_path(self, tmp_path, capsys):
+        code, out = self.run_config(tmp_path, capsys, {"relations": {"block": {"dimm": 2}}})
+        assert code == 2 and "'relations.block.dimm'" in out.err
+
+    def test_wrong_leaf_types_are_2(self, tmp_path, capsys):
+        for overrides, path in (
+            ({"nc": {"m_max": "10"}}, "'nc.m_max'"),
+            ({"nc": {"m_max": 10.0}}, "'nc.m_max'"),
+            ({"psi": {"k_max": True}}, "'psi.k_max'"),
+            ({"tolerances": {"magic": True}}, "'tolerances.magic'"),
+            ({"exchangeable": {"include_extended": 1}}, "'exchangeable.include_extended'"),
+            ({"seed": "7"}, "'seed'"),
+            ({"psi": 3}, "'psi'"),
+        ):
+            code, out = self.run_config(tmp_path, capsys, overrides)
+            assert code == 2 and path in out.err, overrides
+
+    def test_non_object_document_is_2(self, tmp_path, capsys):
+        code, out = self.run_config(tmp_path, capsys, [1, 2])
+        assert code == 2 and "object" in out.err
+
+    def test_int_accepted_for_float_and_law_is_free_form(self, tmp_path, capsys):
+        code, out = self.run_config(
+            tmp_path, capsys,
+            {"tolerances": {"magic": 0}, "law": {"kind": "independent", "moments": {"1": [1]}}})
+        assert code == 0
+        printed = json.loads(out.out)
+        assert printed["tolerances"]["magic"] == 0
+        assert printed["law"] == {"kind": "independent", "moments": {"1": [1]}}
+
+
+class TestNumericalFailures:
+    def test_inv_nan_generators_give_error_report(self, tmp_path, capsys):
+        for sub, section in (("exchangeable", "exchangeable"), ("spreadable", "spreadable")):
+            path = write_config(tmp_path, {section: {"theta": float("nan")}})
+            assert main(["inv", sub, "--config", path]) == 1
+            reports = read_reports(capsys)
+            error = next(r for r in reports if r["check_name"] == f"{section}_suite")
+            assert error["status"] == "error" and error["params"]["section"] == section
+
+    def test_wg_numerical_failure_gives_error_report(self, capsys, monkeypatch):
+        import numpy as np
+
+        from qspread import suites
+
+        def diverge(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(suites, "state_positivity_evidence", diverge)
+        assert main(["wg", "psi", "--k", "1", "--n", "1", "--mmax", "1"]) == 1
+        (report,) = read_reports(capsys)
+        assert report["check_name"] == "psi_suite" and report["status"] == "error"
+        assert "did not converge" in report["params"]["error"]
+
+
 class TestConfigEnvVar:
     def test_env_var_supplies_default(self, tmp_path, capsys, monkeypatch):
         config = write_config(tmp_path, {"nc": {"m_max": 3}})

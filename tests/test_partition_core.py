@@ -1,0 +1,259 @@
+"""The RGS partition core against its differential oracle, and its lattice laws.
+
+The oracle is the dict-of-blocks core that the RGS core replaced: partitions
+validated block by block, ``kernel`` by grouping positions per value, ``leq``
+by block lookups, ``meet`` by pairs of block indices, and both enumerations
+building every partition through the validating constructor.
+"""
+from __future__ import annotations
+
+import itertools
+from typing import Iterator, Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qspread.partitions import (
+    MobiusCache,
+    Partition,
+    enumerate_all,
+    enumerate_nc,
+    join,
+    kernel,
+    leq,
+    meet,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class OldPartition:
+    """A partition of {1..m} with canonically ordered blocks and a dict from
+    element to block index."""
+
+    def __init__(self, m: int, blocks):
+        if m < 0:
+            raise ValueError(f"ground-set size must be >= 0, got {m}")
+        cleaned = [tuple(sorted(b)) for b in blocks]
+        if any(not b for b in cleaned):
+            raise ValueError("empty block")
+        canon = tuple(sorted(cleaned, key=lambda b: b[0]))
+        seen: set[int] = set()
+        for block in canon:
+            for x in block:
+                if not 1 <= x <= m:
+                    raise ValueError(f"element {x} outside ground set {{1..{m}}}")
+                if x in seen:
+                    raise ValueError(f"element {x} appears in two blocks")
+                seen.add(x)
+        if len(seen) != m:
+            raise ValueError("blocks do not cover the ground set")
+        self.m = m
+        self.blocks = canon
+        self.block_of = {}
+        for idx, block in enumerate(canon):
+            for x in block:
+                self.block_of[x] = idx
+
+    def block_index(self, x: int) -> int:
+        return self.block_of[x]
+
+    def same_block(self, x: int, y: int) -> bool:
+        return self.block_of[x] == self.block_of[y]
+
+    def is_noncrossing(self) -> bool:
+        # s1 < t1 < s2 < t2 with s's and t's in two distinct blocks.
+        for x in range(1, self.m + 1):
+            for y in range(x + 1, self.m + 1):
+                if self.same_block(x, y):
+                    continue
+                for x2 in range(y + 1, self.m + 1):
+                    if not self.same_block(x, x2):
+                        continue
+                    for y2 in range(x2 + 1, self.m + 1):
+                        if self.same_block(y, y2):
+                            return False
+        return True
+
+
+def old_kernel(indices: Sequence) -> OldPartition:
+    if not indices:
+        raise ValueError("kernel of an empty index tuple")
+    classes: dict = {}
+    for pos, value in enumerate(indices, start=1):
+        classes.setdefault(value, []).append(pos)
+    return OldPartition(len(indices), classes.values())
+
+
+def old_leq(p: OldPartition, q: OldPartition) -> bool:
+    for block in p.blocks:
+        root = q.block_index(block[0])
+        if any(q.block_index(x) != root for x in block[1:]):
+            return False
+    return True
+
+
+def old_meet(p: OldPartition, q: OldPartition) -> OldPartition:
+    classes: dict = {}
+    for x in range(1, p.m + 1):
+        classes.setdefault((p.block_index(x), q.block_index(x)), []).append(x)
+    return OldPartition(p.m, classes.values())
+
+
+def old_enumerate_all(m: int) -> Iterator[OldPartition]:
+    def rec(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if n == 0:
+            yield ()
+            return
+        for smaller in rec(n - 1):
+            yield smaller + ((n,),)
+            for i, block in enumerate(smaller):
+                yield smaller[:i] + (block + (n,),) + smaller[i + 1 :]
+
+    for blocks in rec(m):
+        yield OldPartition(m, blocks)
+
+
+def old_enumerate_nc(m: int) -> list[OldPartition]:
+    def rec(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if not elems:
+            yield ()
+            return
+        first, rest = elems[0], elems[1:]
+        for r in range(len(rest) + 1):
+            for mates in itertools.combinations(rest, r):
+                block = (first,) + mates
+                # rest splits into intervals between consecutive block members
+                cuts = [rest.index(x) for x in mates]
+                segments = []
+                prev = 0
+                for c in cuts:
+                    segments.append(rest[prev:c])
+                    prev = c + 1
+                segments.append(rest[prev:])
+                for combo in itertools.product(*(list(rec(s)) for s in segments)):
+                    yield (block,) + tuple(itertools.chain.from_iterable(combo))
+
+    return [OldPartition(m, blocks) for blocks in rec(tuple(range(1, m + 1)))]
+
+
+def both_cores(m: int) -> list[tuple[OldPartition, Partition]]:
+    """All of P(m) in the oracle's order, each with its RGS-core twin."""
+    return [(old, Partition(m, old.blocks)) for old in old_enumerate_all(m)]
+
+
+class TestAgainstOldCore:
+    def test_enumerate_all_is_the_same_set(self):
+        for m in range(0, 7):
+            old = sorted(p.blocks for p in old_enumerate_all(m))
+            new = [p.blocks for p in enumerate_all(m)]
+            assert sorted(new) == old and len(set(new)) == len(new)
+
+    def test_blocks_and_noncrossing_agree(self):
+        for m in range(0, 7):
+            for old, new in both_cores(m):
+                assert new.blocks == old.blocks and new.m == m
+                assert new.is_noncrossing() == old.is_noncrossing()
+                assert all(new.block_index(x) == old.block_of[x] for x in range(1, m + 1))
+
+    def test_leq_and_meet_agree_on_all_pairs_m_le_6(self):
+        for m in range(0, 7):
+            pairs = both_cores(m)
+            for old_p, new_p in pairs:
+                for old_q, new_q in pairs:
+                    assert leq(new_p, new_q) == old_leq(old_p, old_q)
+                    assert meet(new_p, new_q).blocks == old_meet(old_p, old_q).blocks
+
+    def test_kernel_agrees(self):
+        for m in range(1, 7):
+            for indices in itertools.product("abc", repeat=m):
+                assert kernel(indices).blocks == old_kernel(indices).blocks
+            for old, new in both_cores(m):
+                assert kernel(new.rgs) == new
+                assert kernel(new.rgs).blocks == old_kernel(new.rgs).blocks
+
+    def test_enumerate_nc_agrees_in_order_m_le_7(self):
+        for m in range(0, 8):
+            assert [p.blocks for p in enumerate_nc(m)] == [
+                p.blocks for p in old_enumerate_nc(m)
+            ]
+
+    def test_down_sets_in_nc_order(self):
+        cache = MobiusCache()
+        for m in range(0, 7):
+            nc = [(old, Partition(m, old.blocks)) for old in old_enumerate_nc(m)]
+            for old_p, new_p in both_cores(m):
+                expected = [new_s for old_s, new_s in nc if old_leq(old_s, old_p)]
+                assert list(cache.below(new_p)) == expected
+
+
+@st.composite
+def rgs_strings(draw, m=None):
+    """A random restricted growth string, of length ``m`` when given."""
+    if m is None:
+        m = draw(st.integers(0, 9))
+    labels: list[int] = []
+    for _ in range(m):
+        labels.append(draw(st.integers(0, max(labels, default=-1) + 1)))
+    return tuple(labels)
+
+
+def same_size(count: int):
+    return st.integers(0, 8).flatmap(
+        lambda m: st.tuples(*(rgs_strings(m) for _ in range(count))))
+
+
+def blocks_of(rgs: tuple[int, ...]) -> list[list[int]]:
+    blocks: dict[int, list[int]] = {}
+    for x, label in enumerate(rgs, start=1):
+        blocks.setdefault(label, []).append(x)
+    return list(blocks.values())
+
+
+def from_rgs(rgs: tuple[int, ...]) -> Partition:
+    return Partition(len(rgs), reversed(blocks_of(rgs)))
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(rgs_strings())
+    def test_rgs_blocks_round_trip(self, rgs):
+        p = from_rgs(rgs)
+        assert p.rgs == rgs
+        assert p.blocks == tuple(map(tuple, blocks_of(rgs)))
+        assert Partition(p.m, p.blocks) == p and hash(Partition(p.m, p.blocks)) == hash(p)
+        assert p.size() == len(set(rgs))
+
+    @PROPERTY_SETTINGS
+    @given(rgs_strings())
+    def test_kernel_of_rgs_is_the_partition(self, rgs):
+        if rgs:
+            assert kernel(rgs) == from_rgs(rgs)
+            assert kernel([f"v{label * 7 % 11}" for label in rgs]) == from_rgs(rgs)
+
+    @PROPERTY_SETTINGS
+    @given(same_size(3))
+    def test_leq_is_a_partial_order(self, strings):
+        p, q, r = map(from_rgs, strings)
+        assert leq(p, p)
+        if leq(p, q) and leq(q, p):
+            assert p == q
+        if leq(p, q) and leq(q, r):
+            assert leq(p, r)
+        # a chain built by joins, so the premise of transitivity holds
+        pq = join(p, q)
+        pqr = join(pq, r)
+        assert leq(p, pq) and leq(pq, pqr) and leq(p, pqr)
+        assert leq(p, q) == all(
+            len({q.block_index(x) for x in block}) == 1 for block in p.blocks)
+
+    @PROPERTY_SETTINGS
+    @given(same_size(3))
+    def test_meet_is_the_greatest_lower_bound(self, strings):
+        p, q, r = map(from_rgs, strings)
+        low = meet(p, q)
+        assert leq(low, p) and leq(low, q)
+        assert (leq(r, p) and leq(r, q)) == leq(r, low)
+        assert leq(meet(low, r), low)
+        intersections = {frozenset(b) & frozenset(c) for b in p.blocks for c in q.blocks}
+        assert {frozenset(b) for b in low.blocks} == intersections - {frozenset()}

@@ -12,7 +12,6 @@ from qspread.weingarten import (
     BlockQuery,
     block_state_moment,
     combinatorial_unit_identity,
-    combined_kernel,
     finite_n_reconstruction,
     free_projection_oracle,
     oracle_equivalence_sweep,
@@ -122,8 +121,7 @@ class TestCombinedKernel:
             for cols in itertools.product((1, 2), repeat=m):
                 for band in itertools.product((1, 2, 3), repeat=m):
                     shifted = tuple((j - 1) * 3 + i for j, i in zip(cols, band))
-                    assert combined_kernel(cols, band, 3) == kernel(shifted)
-                    assert combined_kernel(cols, band, 3) == meet(kernel(cols), kernel(band))
+                    assert meet(kernel(cols), kernel(band)) == kernel(shifted)
 
 
 class TestUnitIdentity:
