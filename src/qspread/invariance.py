@@ -18,7 +18,10 @@ by one fold over the nesting tree of pi: the sum over an interval is the
 product of its outer blocks' sums, and an outer block sums its generator
 product over a common row v, with the already folded sums over its gaps
 between consecutive factors.  Rows where a generator is exactly zero are
-skipped.  A crossing partition is rejected.
+skipped.  A crossing partition is rejected.  An outer block's sum depends
+only on the RGS of pi over the block's span and on the targets there; the
+sweep ``check_kernel_sums`` keeps one memo of block sums under that key for
+all its partitions, target tuples and lengths.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .linalg import residual_norm
 from .moments import Word
-from .partitions import MobiusCache, Partition, default_cache, kernel, leq
+from .partitions import MobiusCache, Partition, default_cache, kernel, kernel_rgs, leq
 from .qis import Representation, check_increasing_relations
 from .qperm import check_magic_unitary
 from .reports import CheckReport, ResidualTracker
@@ -58,9 +61,10 @@ def _nesting_plan(part: Partition) -> tuple:
     """The nesting tree of a non-crossing partition, as the plan of {1..m}.
 
     The plan of an interval that is a union of blocks lists its outer blocks
-    left to right, each as ``(block, word)``.  The word is the block's
+    left to right, each as ``(block, word, shape)``.  The word is the block's
     positions with the plan of every non-empty gap between two consecutive
-    positions inserted between them.
+    positions inserted between them; the shape is the RGS of the partition
+    restricted to the span of the block.
     """
     if not part.is_noncrossing():
         raise ValueError(f"{part!r} is crossing; the nesting-tree fold needs "
@@ -75,7 +79,7 @@ def _nesting_plan(part: Partition) -> tuple:
                 if b > a + 1:
                     word.append(plan(a + 1, b - 1))
                 word.append(b)
-            out.append((block, tuple(word)))
+            out.append((block, tuple(word), kernel_rgs(part.rgs[block[0] - 1:block[-1]])))
             lo = block[-1] + 1
         return tuple(out)
 
@@ -92,7 +96,7 @@ def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
     }
 
 
-def _fold(gens: dict, plan: tuple, targets, rows_for: dict):
+def _fold(gens: dict, plan: tuple, targets, rows_for: dict, memo: dict):
     """The kernel-constrained sum over the positions of a non-empty ``plan``,
     or None when it vanishes identically (some block has no row where all of
     its generators are nonzero).
@@ -101,31 +105,47 @@ def _fold(gens: dict, plan: tuple, targets, rows_for: dict):
     factors along the nesting tree: each outer block contributes
     sum_v u_{v j_1} X_1 u_{v j_2} ... X_{r-1} u_{v j_r}, where X_t is the
     already folded sum over the gap between its t-th and (t+1)-th positions.
+    That block sum depends only on the shape of the partition over the
+    block's span and on the targets there, so ``memo`` keeps it under that
+    key; one memo serves every partition and target tuple folded with the
+    same ``gens`` and ``rows_for``.
     """
     total = None
-    for block, word in plan:
-        cols = [targets[p - 1] for p in block]
-        rows = [v for v in rows_for[cols[0]] if all(v in rows_for[c] for c in cols[1:])]
-        if not rows:
+    for block, word, shape in plan:
+        key = (shape, targets[block[0] - 1:block[-1]])
+        if key in memo:
+            block_sum = memo[key]
+        else:
+            block_sum = memo[key] = _block_sum(gens, block, word, targets, rows_for, memo)
+        if block_sum is None:
             return None
-        factors = []  # a column index, or a folded gap (a matrix)
-        for item in word:
-            if not isinstance(item, tuple):
-                factors.append(targets[item - 1])
-                continue
-            gap = _fold(gens, item, targets, rows_for)
-            if gap is None:
-                return None
-            factors.append(gap)
-        block_sum = None
-        for v in rows:
-            term = None
-            for f in factors:
-                x = f if isinstance(f, np.ndarray) else gens[(v, f)]
-                term = x if term is None else term @ x
-            block_sum = term if block_sum is None else block_sum + term
         total = block_sum if total is None else total @ block_sum
     return total
+
+
+def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
+    """One outer block's term of ``_fold``, or None when it vanishes."""
+    cols = [targets[p - 1] for p in block]
+    rows = [v for v in rows_for[cols[0]] if all(v in rows_for[c] for c in cols[1:])]
+    if not rows:
+        return None
+    factors = []  # a column index, or a folded gap (a matrix)
+    for item in word:
+        if not isinstance(item, tuple):
+            factors.append(targets[item - 1])
+            continue
+        gap = _fold(gens, item, targets, rows_for, memo)
+        if gap is None:
+            return None
+        factors.append(gap)
+    block_sum = None
+    for v in rows:
+        term = None
+        for f in factors:
+            x = f if isinstance(f, np.ndarray) else gens[(v, f)]
+            term = x if term is None else term @ x
+        block_sum = term if block_sum is None else block_sum + term
+    return block_sum
 
 
 def kernel_constrained_sum(
@@ -143,7 +163,7 @@ def kernel_constrained_sum(
         raise ValueError("need a non-empty target tuple of the partition's size")
     if any(not 1 <= j <= rep.k for j in targets):
         raise ValueError(f"targets {targets} exceed the {rep.k} columns of the family")
-    value = _fold(rep.gens, _nesting_plan(part), targets, _rows_for(rep))
+    value = _fold(rep.gens, _nesting_plan(part), tuple(targets), _rows_for(rep), {})
     # copied: a fold of one factor is the representation's own generator
     return rep.zero() if value is None else value.copy()
 
@@ -167,18 +187,21 @@ def check_kernel_sums(
     )
     one, zero = rep.unit(), rep.zero()
     rows_for = _rows_for(rep)
+    memo: dict = {}  # block sums; valid for this representation only
     for m in range(1, max_len + 1):
         kernels = [
             (targets, kernel(targets))
             for targets in itertools.product(range(1, rep.k + 1), repeat=m)
         ]
+        distinct = {ker.rgs: ker for _, ker in kernels}
         for part in cache.nc(m):
             plan = _nesting_plan(part)
             blocks = [list(b) for b in part.blocks]
+            expected = {rgs: one if leq(part, ker) else zero for rgs, ker in distinct.items()}
             for targets, ker in kernels:
-                value = _fold(rep.gens, plan, targets, rows_for)
-                expected = one if leq(part, ker) else zero
-                defect = expected if value is None else value - expected  # None: zero sum
+                value = _fold(rep.gens, plan, targets, rows_for, memo)
+                want = expected[ker.rgs]
+                defect = want if value is None else value - want  # None: zero sum
                 tracker.add(("kernel-sum", blocks, list(targets)), residual_norm(defect))
     return tracker.report()
 

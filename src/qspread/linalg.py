@@ -18,6 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 
+_ZERO = Fraction(0)
+
+
 def is_exact(a: np.ndarray) -> bool:
     """True for the rational (object-dtype) backend."""
     return a.dtype == object
@@ -62,7 +65,8 @@ def residual_norm(a: np.ndarray):
     exact backend the value is a Fraction, only ever compared against 0.
     """
     if is_exact(a):
-        return max((abs(x) for x in a.flat), default=Fraction(0))
+        # a zero defect, the common case, skips the Fraction arithmetic
+        return max(abs(x) for x in a.flat) if any(a.flat) else _ZERO
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))

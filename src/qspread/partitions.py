@@ -9,7 +9,10 @@ first use.  Ground sets are always {1..m}; callers working with other ordered
 sets relabel by position first.
 
 All Mobius values are exact (Python integers, which embed in the rationals
-used downstream).
+used downstream).  ``MobiusCache.mobius`` evaluates the closed form through
+the relative Kreweras complement, O(m) per pair; ``zeta_inverse_table`` and
+``mobius_column_oracle`` compute the same values by linear algebra on the
+zeta matrix and serve as its independent oracles.
 """
 from __future__ import annotations
 
@@ -252,7 +255,7 @@ class MobiusCache:
         self.limit = limit
         self._nc: dict[int, tuple[Partition, ...]] = {}
         self._below: dict[tuple[int, ...], tuple[Partition, ...]] = {}
-        self._mu: dict[tuple[Partition, Partition], int] = {}
+        self._mu: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # per RGS pair
         self._weight_memo: dict = {}
         self._column_memo: dict = {}
 
@@ -271,28 +274,42 @@ class MobiusCache:
         return down
 
     def mobius(self, s: Partition, p: Partition) -> int:
-        """mu(s, p) on NC(m); requires s <= p, both non-crossing."""
-        if not (s.is_noncrossing() and p.is_noncrossing()):
-            raise OrderError("Mobius arguments must be non-crossing")
-        if not leq(s, p):
-            raise OrderError(f"{s!r} is not <= {p!r}")
-        return self._mu_rec(s, p)
+        """mu(s, p) on NC(m); requires s <= p, both non-crossing.
 
-    def _mu_rec(self, s: Partition, p: Partition) -> int:
-        key = (s, p)
+        Closed form, memoized per pair of RGS: with each block read as the
+        cycle through its elements in increasing order, the interval [s, p]
+        is the product of NC(|c|) over the cycles c of the relative Kreweras
+        complement s^-1 p, so mu(s, p) is the product of their
+        (-1)^(|c|-1) C_(|c|-1) (Kreweras 1972; Nica-Speicher, Lectures 9-10).
+        """
+        key = (s.rgs, p.rgs)
         value = self._mu.get(key)
         if value is None:
-            if s == p:
-                value = 1
-            else:
-                # mu(s, p) = -sum over s <= rho < p of mu(s, rho)
-                value = -sum(
-                    self._mu_rec(s, rho)
-                    for rho in self.below(p)
-                    if rho != p and leq(s, rho)
-                )
+            if not (s.is_noncrossing() and p.is_noncrossing()):
+                raise OrderError("Mobius arguments must be non-crossing")
+            if not leq(s, p):
+                raise OrderError(f"{s!r} is not <= {p!r}")
+            back, forth = _block_cycles(s.blocks, -1), _block_cycles(p.blocks, 1)
+            value, seen = 1, [False] * s.m
+            for start in range(s.m):  # walk each cycle of s^-1 p once
+                x, size = start, 0
+                while not seen[x]:
+                    seen[x] = True
+                    x, size = back[forth[x]], size + 1
+                if size:
+                    value *= (-1) ** (size - 1) * catalan(size - 1)
             self._mu[key] = value
         return value
+
+
+def _block_cycles(blocks, step: int) -> list[int]:
+    """x -> the next element of its block, cyclically (0-based), in
+    increasing order for ``step`` 1 and decreasing order for -1."""
+    nxt = [0] * sum(map(len, blocks))
+    for block in blocks:
+        for a, b in zip(block, block[step:] + block[:step]):
+            nxt[a - 1] = b - 1
+    return nxt
 
 
 _DEFAULT_CACHE = MobiusCache()
@@ -310,9 +327,9 @@ def mobius(s: Partition, p: Partition, cache: MobiusCache | None = None) -> int:
 def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Partition, int]:
     """Solve the zeta system for the column mu(., full) by back-substitution.
 
-    Independent of the memoized recursion above, which expands on the upper
-    argument: here x(p) = -sum over rho > p of zeta(p, rho) x(rho), seeded
-    with x(full) = 1.  Used as a cross-check oracle.
+    Independent of the closed form in ``MobiusCache.mobius``: here
+    x(p) = -sum over rho > p of zeta(p, rho) x(rho), seeded with
+    x(full) = 1.  Used as a cross-check oracle.
     """
     cache = cache or _DEFAULT_CACHE
     elems = sorted(cache.nc(m), key=lambda p: -p.size())  # finer first

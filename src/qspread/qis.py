@@ -323,18 +323,45 @@ def rep_to_json(rep: Representation) -> str:
 
 
 def rep_from_json_dict(data: dict) -> Representation:
+    """Decode a representation document (docs/representation.schema.json).
+
+    Raises ValueError naming the first problem: a missing key, a generator
+    key that is not 'i,j' inside 1..n x 1..k, or a matrix that is not rows
+    of [re, im] pairs.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a representation document must be a JSON object")
+    missing = [key for key in ("kind", "k", "n", "dim", "gens") if key not in data]
+    if missing:
+        raise ValueError(f"representation document lacks {', '.join(missing)}")
+    if not isinstance(data["gens"], dict):
+        raise ValueError("representation 'gens' must be an object")
+    try:
+        k, n, dim = int(data["k"]), int(data["n"]), int(data["dim"])
+    except (TypeError, ValueError):
+        raise ValueError("representation 'k', 'n' and 'dim' must be integers") from None
     gens = {}
     for key, rows in data["gens"].items():
-        i, j = (int(part) for part in key.split(","))
-        gens[(i, j)] = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
+        try:
+            i, j = (int(part) for part in key.split(","))
+        except ValueError:
+            raise ValueError(f"generator key {key!r} is not 'i,j'") from None
+        if not (1 <= i <= n and 1 <= j <= k):
+            raise ValueError(f"generator key {key!r} lies outside 1..{n} x 1..{k}")
+        try:
+            gens[(i, j)] = np.array(
+                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+            )
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"generator {key!r} is not a list of rows of [re, im] pairs"
+            ) from None
     return Representation(
         kind=data["kind"],
-        k=int(data["k"]),
-        n=int(data["n"]),
+        k=k,
+        n=n,
         gens=gens,
-        dim=int(data["dim"]),
+        dim=dim,
         seed=data.get("seed"),
     )
 

@@ -89,8 +89,16 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# Work budgets of the Mobius checks: the largest m each one finishes within
+# 30 s, the budget of acceptance criterion 2, on a shared 2-vCPU host (at
+# the caps 19 s, 1.3 s and 3.2 s; one step above, the last two took 31 s
+# and 45 s, and the identity check grows about tenfold per step).
+NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
+
+
 class ConfigError(ValueError):
-    """A config key that DEFAULT_CONFIG lacks, or a value of the wrong type."""
+    """A config key that DEFAULT_CONFIG lacks, a value of the wrong type, or
+    work above a stated budget."""
 
 
 def merge_config(overrides: dict | None) -> dict:
@@ -98,8 +106,9 @@ def merge_config(overrides: dict | None) -> dict:
 
     Every key must exist in DEFAULT_CONFIG, with a value of the default's
     type (an int passes for a float, a bool never for a number); only the
-    keys inside ``law`` are free-form.  Raises ConfigError naming the
-    dotted path of the first offending key.
+    keys inside ``law`` are free-form.  The Mobius sizes must stay within
+    NC_M_CAPS.  Raises ConfigError naming the dotted path of the first
+    offending key.
     """
     def deep(base, over, path):
         out = dict(base)
@@ -121,7 +130,12 @@ def merge_config(overrides: dict | None) -> dict:
 
     if not isinstance(overrides or {}, dict):
         raise ConfigError("the config must be a JSON object")
-    return deep(DEFAULT_CONFIG, overrides or {}, "")
+    merged = deep(DEFAULT_CONFIG, overrides or {}, "")
+    for key, cap in NC_M_CAPS.items():
+        if merged["nc"][key] > cap:
+            raise ConfigError(f"config key 'nc.{key}' must be <= {cap} (work budget), "
+                              f"got {merged['nc'][key]}")
+    return merged
 
 
 def _same_type(value, default) -> bool:

@@ -19,7 +19,8 @@ evidence, where eigenvalues of a Gram matrix are examined.  Each route sums
 integers and divides by n^m once: a closed-form term 1/n^{|sigma|} has
 |sigma| <= m, and an oracle term is a product of block cumulants whose block
 sizes add up to m, each cumulant times n^{size} being an integer.  Memos live
-in the ``MobiusCache`` passed in, keyed by RGS.
+in the ``MobiusCache`` passed in, keyed by RGS.  The reconstruction sum
+synthesizes each free moment once per kernel of the shifted index tuple.
 """
 from __future__ import annotations
 
@@ -163,7 +164,9 @@ def finite_n_reconstruction(
     reconstruction_weight.
 
     For the free model this reproduces the original moment exactly at every
-    finite n; no limit is involved.  Exact backend only.
+    finite n; no limit is involved.  Exact backend only.  The free moment of
+    a shifted word depends only on the kernel of its indices (the inserts and
+    powers are the word's own), so it is synthesized once per kernel.
     """
     if not getattr(law, "exact", False):
         raise ValueError("reconstruction check runs on the exact backend only")
@@ -172,14 +175,16 @@ def finite_n_reconstruction(
     cache = cache or default_cache()
     cols = word.indices
     total = law.zero()
+    moments: dict = {}  # kernel RGS of the shifted indices -> free moment
     for band in itertools.product(range(1, n + 1), repeat=word.length):
         weight = reconstruction_weight(cols, band, n, cache)
         if weight == 0:
             continue
-        shifted = word.with_indices(
-            tuple((j - 1) * n + i for j, i in zip(cols, band))
-        )
-        total = total + free_iid_moment(law, shifted, cache) * weight
+        shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))
+        key = kernel_rgs(shifted)
+        if key not in moments:
+            moments[key] = free_iid_moment(law, word.with_indices(shifted), cache)
+        total = total + moments[key] * weight
     return total
 
 

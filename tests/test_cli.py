@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from qspread.cli import main
-from qspread.suites import DEFAULT_CONFIG, merge_config
+from qspread.suites import DEFAULT_CONFIG, NC_M_CAPS, merge_config
 
 TRIMMED = {
     "nc": {"m_max": 6, "mobius_m_max": 4, "zeta_m_max": 3, "column_m_max": 4},
@@ -133,6 +134,44 @@ class TestExitCodes:
         assert any(r["witness"] and r["witness"][0] == "word" for r in failed)
 
 
+class TestMalformedRepFile:
+    """A representation file that does not match the schema is a usage
+    error (exit 2 with ``error: ...``), never a traceback or a silent pass."""
+
+    @staticmethod
+    def run_with(tmp_path, capsys, document) -> tuple[int, str]:
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(document))
+        code = main(["qperm", "magic", "--rep", str(path)])
+        return code, capsys.readouterr().err
+
+    @staticmethod
+    def identity_family() -> dict:
+        from qspread.qis import rep_to_json_dict
+        from qspread.qperm import permutation_rep
+
+        return rep_to_json_dict(permutation_rep((1, 2)))
+
+    def test_missing_key_is_2(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, {"k": 2})
+        assert code == 2
+        assert err.startswith("error:") and "gens" in err and "Traceback" not in err
+
+    def test_row_not_pairs_is_2(self, tmp_path, capsys):
+        document = self.identity_family()
+        document["gens"]["1,1"] = [[1.0]]
+        code, err = self.run_with(tmp_path, capsys, document)
+        assert code == 2
+        assert err.startswith("error:") and "'1,1'" in err
+
+    def test_generator_key_outside_family_is_2(self, tmp_path, capsys):
+        document = self.identity_family()
+        document["gens"]["3,7"] = document["gens"]["1,1"]
+        code, err = self.run_with(tmp_path, capsys, document)
+        assert code == 2
+        assert err.startswith("error:") and "'3,7'" in err
+
+
 class TestSuiteAll:
     def test_trimmed_suite_passes(self, tmp_path, capsys):
         config = write_config(tmp_path, TRIMMED)
@@ -221,6 +260,36 @@ class TestConfigValidation:
         printed = json.loads(out.out)
         assert printed["tolerances"]["magic"] == 0
         assert printed["law"] == {"kind": "independent", "moments": {"1": [1]}}
+
+
+class TestMobiusWorkBudget:
+    """Mobius sizes above their caps are rejected up front (exit 2, naming
+    the key) instead of running for minutes or hours."""
+
+    def test_caps_admit_the_defaults(self):
+        assert all(DEFAULT_CONFIG["nc"][key] <= cap for key, cap in NC_M_CAPS.items())
+        schema = json.loads((Path(__file__).parents[1] / "docs" / "config.schema.json")
+                            .read_text())
+        nc = schema["properties"]["nc"]["properties"]
+        assert {key: nc[key]["maximum"] for key in NC_M_CAPS} == NC_M_CAPS
+
+    def test_suite_config_over_each_cap_is_2(self, tmp_path, capsys):
+        for key, cap in NC_M_CAPS.items():
+            path = write_config(tmp_path, {"nc": {key: cap + 1}})
+            assert main(["suite", "all", "--config", path]) == 2, key
+            out = capsys.readouterr()
+            assert f"'nc.{key}'" in out.err and out.out == ""
+        at_caps = merge_config({"nc": dict(NC_M_CAPS)})
+        assert {key: at_caps["nc"][key] for key in NC_M_CAPS} == NC_M_CAPS
+
+    def test_nc_mobius_over_cap_is_2(self, tmp_path, capsys):
+        cap = NC_M_CAPS["mobius_m_max"]
+        assert main(["nc", "mobius", "--m", str(cap + 1)]) == 2
+        out = capsys.readouterr()
+        assert "'nc.mobius_m_max'" in out.err and out.out == ""
+        path = write_config(tmp_path, {"nc": {"zeta_m_max": NC_M_CAPS["zeta_m_max"] + 1}})
+        assert main(["nc", "mobius", "--m", "2", "--config", path]) == 2
+        assert "'nc.zeta_m_max'" in capsys.readouterr().err
 
 
 class TestNumericalFailures:

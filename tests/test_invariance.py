@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from qspread.invariance import (
+    _fold,
+    _nesting_plan,
+    _rows_for,
     check_bvalued_spreadable,
     check_exchangeable,
     check_kernel_sums,
@@ -137,16 +140,38 @@ class TestFoldMatchesEnumeration:
                     for case, folded, enumerated in fold_and_oracle(classical_point_rep(l), 5):
                         assert np.array_equal(folded, enumerated), (l.values, case)
 
+    @staticmethod
+    def unrelated_exact_family() -> Representation:
+        rng = np.random.default_rng(5)
+        gens = {(i, j): random_rational_matrix(2, 2, rng) for i in range(1, 4) for j in (1, 2)}
+        gens[(2, 1)] = gens[(3, 2)] = rational_zeros(2)
+        return Representation(kind="increasing", k=2, n=3, gens=gens, dim=2)
+
     def test_unrelated_exact_family(self):
         # The fold is an identity of sums, not a consequence of the defining
         # relations: on generators that satisfy none of them the sums are not
         # 0 or 1, so the order of the factors and of the blocks shows.
-        rng = np.random.default_rng(5)
-        gens = {(i, j): random_rational_matrix(2, 2, rng) for i in range(1, 4) for j in (1, 2)}
-        gens[(2, 1)] = gens[(3, 2)] = rational_zeros(2)
-        rep = Representation(kind="increasing", k=2, n=3, gens=gens, dim=2)
+        rep = self.unrelated_exact_family()
         for case, folded, enumerated in fold_and_oracle(rep, 4):
             assert np.array_equal(folded, enumerated), case
+
+    def test_unrelated_exact_family_through_one_memo(self):
+        # One block-sum memo for the whole sweep, as check_kernel_sums keeps
+        # it.  A key without the span's shape or without its targets hands
+        # one block's sum to another; on a valid family every sum is 0 or 1,
+        # so such a hand-over can go unseen, while here the sums differ.
+        rep = self.unrelated_exact_family()
+        rows_for, memo = _rows_for(rep), {}
+        for m in range(1, 5):
+            for part in enumerate_nc(m):
+                plan = _nesting_plan(part)
+                for targets in itertools.product(range(1, rep.k + 1), repeat=m):
+                    value = _fold(rep.gens, plan, targets, rows_for, memo)
+                    folded = rep.zero() if value is None else value
+                    assert np.array_equal(
+                        folded, enumerated_kernel_sum(rep, part, targets)
+                    ), (part, targets)
+        assert memo
 
     def test_extended_rep_to_roundoff(self):
         rep = quantum_extension(two_projection_rep(0.65))

@@ -1,20 +1,25 @@
-"""The RGS partition core against its differential oracle, and its lattice laws.
+"""The RGS partition core and the closed-form Mobius function against their
+differential oracles, and the lattice laws.
 
-The oracle is the dict-of-blocks core that the RGS core replaced: partitions
-validated block by block, ``kernel`` by grouping positions per value, ``leq``
-by block lookups, ``meet`` by pairs of block indices, and both enumerations
-building every partition through the validating constructor.
+The core's oracle is the dict-of-blocks core that the RGS core replaced:
+partitions validated block by block, ``kernel`` by grouping positions per
+value, ``leq`` by block lookups, ``meet`` by pairs of block indices, and both
+enumerations building every partition through the validating constructor.
+The Mobius oracle is the memoized recursion over down-sets that the closed
+form (the relative Kreweras complement) replaced.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspread.partitions import (
     MobiusCache,
+    OrderError,
     Partition,
     enumerate_all,
     enumerate_nc,
@@ -185,6 +190,47 @@ class TestAgainstOldCore:
             for old_p, new_p in both_cores(m):
                 expected = [new_s for old_s, new_s in nc if old_leq(old_s, old_p)]
                 assert list(cache.below(new_p)) == expected
+
+
+def recursive_mobius(s: Partition, p: Partition, cache: MobiusCache, memo: dict) -> int:
+    """mu(s, p) on NC(m) by recursion on the upper argument: mu(s, s) = 1 and
+    mu(s, p) = -sum over s <= rho < p of mu(s, rho), memoized per pair."""
+    key = (s, p)
+    if key not in memo:
+        memo[key] = 1 if s == p else -sum(
+            recursive_mobius(s, rho, cache, memo)
+            for rho in cache.below(p)
+            if rho != p and leq(s, rho)
+        )
+    return memo[key]
+
+
+class TestMobiusAgainstRecursion:
+    def test_closed_form_on_every_interval_m_le_7(self):
+        cache, memo = MobiusCache(), {}
+        intervals = 0
+        for m in range(0, 8):
+            for p in cache.nc(m):
+                for s in cache.below(p):
+                    assert cache.mobius(s, p) == recursive_mobius(s, p, cache, memo), (s, p)
+                    intervals += 1
+        assert intervals == 9525
+
+    def test_memo_does_not_admit_bad_arguments(self):
+        cache = MobiusCache()
+        for m in range(0, 5):
+            for p in cache.nc(m):
+                for s in cache.below(p):
+                    cache.mobius(s, p)
+        crossing = Partition(4, [(1, 3), (2, 4)])
+        with pytest.raises(OrderError):
+            cache.mobius(Partition.singletons(4), crossing)
+        with pytest.raises(OrderError):
+            cache.mobius(crossing, Partition.full(4))
+        with pytest.raises(OrderError):  # comparable in neither direction
+            cache.mobius(Partition(3, [(1, 2), (3,)]), Partition(3, [(1,), (2, 3)]))
+        with pytest.raises(OrderError):
+            cache.mobius(Partition.full(3), Partition.singletons(3))
 
 
 @st.composite
