@@ -232,14 +232,23 @@ def partition_moment(law, part: Partition, word: Word):
     return _peel(law, part, list(word.inserts), list(word.powers))
 
 
-def partition_cumulant(law, part: Partition, word: Word, cache: MobiusCache | None = None):
-    """Mobius inversion of the partitioned moments over NC below ``part``."""
+def partition_cumulant(
+    law, part: Partition, word: Word, cache: MobiusCache | None = None,
+    moments: dict | None = None,
+):
+    """Mobius inversion of the partitioned moments over NC below ``part``.
+
+    ``moments``, when given, keeps each finer partition's moment of ``word``
+    across calls on the same word."""
     if not part.is_noncrossing():
         raise ValueError(f"{part!r} is crossing")
     cache = cache or default_cache()
+    moments = {} if moments is None else moments
     total = law.zero()
     for finer in cache.below(part):
-        total = total + cache.mobius(finer, part) * partition_moment(law, finer, word)
+        if finer not in moments:
+            moments[finer] = partition_moment(law, finer, word)
+        total = total + cache.mobius(finer, part) * moments[finer]
     return total
 
 
@@ -270,13 +279,15 @@ def free_iid_moment(law, word: Word, cache: MobiusCache | None = None):
 
     Sum of partitioned cumulants over non-crossing partitions below the
     kernel of the index tuple; this is what defines the joint distribution
-    of the sequence throughout the package.
+    of the sequence throughout the package.  Each finer partition's moment
+    is computed once per call.
     """
     cache = cache or default_cache()
     single = word.with_indices((1,) * word.length)
+    moments: dict = {}
     total = law.zero()
     for part in cache.below(kernel(word.indices)):
-        total = total + partition_cumulant(law, part, single, cache)
+        total = total + partition_cumulant(law, part, single, cache, moments)
     return total
 
 

@@ -8,11 +8,16 @@ over two RGS.  The blocks (sorted tuples, by increasing minimum) are built on
 first use.  Ground sets are always {1..m}; callers working with other ordered
 sets relabel by position first.
 
+``MobiusCache`` tabulates NC(m) once per size, as an integer RGS array and
+the first element of each block.  sigma <= p iff p's label at the first
+element of each sigma block is p's label at every element of it: one
+vectorized test gives a down-set, and over all pairs the order matrix.
+
 All Mobius values are exact (Python integers, which embed in the rationals
 used downstream).  ``MobiusCache.mobius`` evaluates the closed form through
 the relative Kreweras complement, O(m) per pair; ``zeta_inverse_table`` and
 ``mobius_column_oracle`` compute the same values by linear algebra on the
-zeta matrix and serve as its independent oracles.
+zeta (order) matrix and serve as its independent oracles.
 """
 from __future__ import annotations
 
@@ -21,7 +26,10 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 NC_ENUMERATION_LIMIT = 12
+ORDER_M_MAX = 8  # |NC(8)|^2 = 1430^2 booleans, about 2 MB
 
 _set = object.__setattr__
 
@@ -201,40 +209,36 @@ def enumerate_nc(m: int, limit: int = NC_ENUMERATION_LIMIT) -> list[Partition]:
     """All non-crossing partitions of {1..m}, canonical, no duplicates.
 
     For m = 0 the list holds the single empty partition.  Built directly by
-    choosing the block of the least element and recursing on the gaps it
-    leaves, so nothing is enumerated and thrown away.
+    choosing the block of the least element and filling the gaps it leaves,
+    so nothing is enumerated and thrown away (see ``_extend_nc_strings``).
     """
+    return list(map(Partition._of, _extend_nc_strings([[()]], m, limit)[m]))
+
+
+def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int, limit: int) -> list:
+    """Extend ``strings``, the RGS lists of NC(0), NC(1), ..., up to NC(m):
+    for each choice of the mates of 1 (by number, then lexicographically),
+    the product of the gaps' lists, each gap's labels shifted past the blocks
+    already placed, so blocks come out by increasing minimum."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > limit:
         raise ValueError(f"m={m} exceeds enumeration limit {limit}")
-
-    def rec(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not elems:
-            yield ()
-            return
-        first, rest = elems[0], elems[1:]
-        for r in range(len(rest) + 1):
-            for mates in itertools.combinations(rest, r):
-                block = (first,) + mates
-                # rest splits into intervals between consecutive block members
-                cuts = [rest.index(x) for x in mates]
-                segments = []
-                prev = 0
-                for c in cuts:
-                    segments.append(rest[prev:c])
-                    prev = c + 1
-                segments.append(rest[prev:])
-                for combo in itertools.product(*(list(rec(s)) for s in segments)):
-                    yield (block,) + tuple(itertools.chain.from_iterable(combo))
-
-    # The gaps follow the first block in increasing order, so the blocks come
-    # out by increasing minimum: block i carries RGS label i.
-    def of_blocks(blocks: tuple[tuple[int, ...], ...]) -> Partition:
-        owner = {x: label for label, block in enumerate(blocks) for x in block}
-        return Partition._of(tuple(owner[x] for x in range(1, m + 1)), blocks)
-
-    return [of_blocks(blocks) for blocks in rec(tuple(range(1, m + 1)))]
+    while len(strings) <= m:
+        size, out = len(strings), []
+        for r in range(size):
+            for mates in itertools.combinations(range(1, size), r):
+                bounds = (0, *mates, size)
+                gaps = [strings[b - a - 1] for a, b in zip(bounds, bounds[1:])]
+                for combo in itertools.product(*gaps):
+                    rgs = [0]
+                    for sub in combo:  # each gap, then the mate closing it
+                        top = max(rgs) + 1
+                        rgs += [label + top for label in sub]
+                        rgs.append(0)
+                    out.append(tuple(rgs[:-1]))
+        strings.append(out)
+    return strings
 
 
 def catalan(m: int) -> int:
@@ -243,17 +247,22 @@ def catalan(m: int) -> int:
 
 
 class MobiusCache:
-    """The one context object, for NC(m) with m up to ``limit``: NC(m) per m;
-    per RGS, the NC elements below a partition (crossing or not) in the order
-    of NC(m); the Mobius memo; and the state memos of ``weingarten``.
+    """The one context object, for NC(m) with m up to ``limit``: NC(m) per m,
+    built from the RGS strings of the smaller sizes, with its tables and, for
+    m <= ORDER_M_MAX, its order matrix; per RGS, the NC elements below a
+    partition (crossing or not) in the order of NC(m); the Mobius memo; and
+    the state memos of ``weingarten``.
 
     Fill is single-threaded on demand; afterwards reads are lookups into
-    plain dicts, safe to share.
+    plain dicts and arrays, safe to share.
     """
 
     def __init__(self, limit: int = NC_ENUMERATION_LIMIT):
         self.limit = limit
+        self._strings: list[list[tuple[int, ...]]] = [[()]]  # RGS of NC(0), NC(1), ...
         self._nc: dict[int, tuple[Partition, ...]] = {}
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._order: dict[int, np.ndarray] = {}
         self._below: dict[tuple[int, ...], tuple[Partition, ...]] = {}
         self._mu: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # per RGS pair
         self._weight_memo: dict = {}
@@ -262,16 +271,45 @@ class MobiusCache:
     def nc(self, m: int) -> tuple[Partition, ...]:
         """The non-crossing partitions of {1..m} (cached)."""
         if m not in self._nc:
-            self._nc[m] = tuple(enumerate_nc(m, self.limit))
+            _extend_nc_strings(self._strings, m, self.limit)
+            self._nc[m] = tuple(map(Partition._of, self._strings[m]))
         return self._nc[m]
+
+    def _table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """NC(m) as (RGS array, first element of each element's block), both
+        (N, m) and 0-based."""
+        table = self._tables.get(m)
+        if table is None:
+            self.nc(m)
+            rgs = np.array(self._strings[m], dtype=np.int8)
+            first = (rgs[:, :, None] == rgs[:, None, :]).argmax(axis=2) if m else rgs
+            table = self._tables[m] = (rgs, first)
+        return table
 
     def below(self, p: Partition) -> tuple[Partition, ...]:
         """Non-crossing partitions <= p, in the order of ``nc`` (cached per
         RGS; p may be crossing, and is included when it is not)."""
         down = self._below.get(p.rgs)
         if down is None:
-            down = self._below[p.rgs] = tuple(s for s in self.nc(p.m) if leq(s, p))
+            first = self._table(p.m)[1]
+            labels = np.array(p.rgs, dtype=np.int8)
+            inside = np.flatnonzero((labels[first] == labels).all(axis=1))
+            down = self._below[p.rgs] = tuple(map(self.nc(p.m).__getitem__, inside.tolist()))
         return down
+
+    def order(self, m: int) -> np.ndarray:
+        """The order matrix of NC(m): entry [i, j] is nc(m)[i] <= nc(m)[j].
+        Built by the test of ``below`` for m <= ORDER_M_MAX only."""
+        if m > ORDER_M_MAX:
+            raise ValueError(f"no order matrix above m={ORDER_M_MAX}, got m={m}")
+        matrix = self._order.get(m)
+        if matrix is None:
+            rgs, first = self._table(m)
+            above = np.ones((len(rgs), len(rgs)), dtype=bool)  # [j, i]: i <= j
+            for x in range(m):
+                above &= rgs[:, first[:, x]] == rgs[:, x, None]
+            matrix = self._order[m] = np.ascontiguousarray(above.T)
+        return matrix
 
     def mobius(self, s: Partition, p: Partition) -> int:
         """mu(s, p) on NC(m); requires s <= p, both non-crossing.
@@ -329,20 +367,16 @@ def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Parti
 
     Independent of the closed form in ``MobiusCache.mobius``: here
     x(p) = -sum over rho > p of zeta(p, rho) x(rho), seeded with
-    x(full) = 1.  Used as a cross-check oracle.
+    x(full) = 1, each sum over the up-set of p in the order matrix.  Used as
+    a cross-check oracle.
     """
     cache = cache or _DEFAULT_CACHE
-    elems = sorted(cache.nc(m), key=lambda p: -p.size())  # finer first
-    top = Partition.full(m)
-    column: dict[Partition, int] = {}
-    for p in sorted(elems, key=lambda p: p.size()):  # coarser first
-        if p == top:
-            column[p] = 1
-        else:
-            column[p] = -sum(
-                column[rho] for rho in elems if rho != p and rho in column and leq(p, rho)
-            )
-    return column
+    elems, order = cache.nc(m), cache.order(m)
+    column = [0] * len(elems)
+    for i in sorted(range(len(elems)), key=lambda i: elems[i].size()):  # coarser first
+        above = np.flatnonzero(order[i]).tolist()
+        column[i] = 1 if above == [i] else -sum(column[j] for j in above if j != i)
+    return dict(zip(elems, column))
 
 
 def zeta_inverse_table(
@@ -351,14 +385,14 @@ def zeta_inverse_table(
     """Invert the zeta matrix of NC(m) by exact Gauss-Jordan elimination.
 
     Brute-force oracle for the full Mobius table; O(|NC(m)|^3) Fraction
-    operations, intended for small m only.
+    operations, intended for small m only.  The zeta matrix is the order
+    matrix of ``MobiusCache.order``.
     """
     cache = cache or _DEFAULT_CACHE
-    elems = list(cache.nc(m))
-    order = {p: i for i, p in enumerate(elems)}
+    elems, order = cache.nc(m), cache.order(m).tolist()
     size = len(elems)
     aug = [
-        [Fraction(1 if leq(elems[r], elems[c]) else 0) for c in range(size)]
+        [Fraction(int(v)) for v in order[r]]
         + [Fraction(1 if r == c else 0) for c in range(size)]
         for r in range(size)
     ]
@@ -372,8 +406,8 @@ def zeta_inverse_table(
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     table = {}
-    for p in elems:
-        for q in elems:
-            if leq(p, q):
-                table[(p, q)] = aug[order[p]][size + order[q]]
+    for r, p in enumerate(elems):
+        for c in range(size):
+            if order[r][c]:
+                table[(p, elems[c])] = aug[r][size + c]
     return table

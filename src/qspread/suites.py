@@ -39,7 +39,6 @@ from .partitions import (
     catalan,
     enumerate_all,
     kernel,
-    leq,
     mobius_column_oracle,
     zeta_inverse_table,
 )
@@ -89,11 +88,38 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-# Work budgets of the Mobius checks: the largest m each one finishes within
-# 30 s, the budget of acceptance criterion 2, on a shared 2-vCPU host (at
-# the caps 19 s, 1.3 s and 3.2 s; one step above, the last two took 31 s
-# and 45 s, and the identity check grows about tenfold per step).
+# Work budgets of the Mobius checks: the largest m each one finished within
+# 30 s, the budget of acceptance criterion 2, on a shared 2-vCPU host (one
+# step above, the last two took 31 s and 45 s).  The identity and column
+# checks read the order matrix, built for m <= ORDER_M_MAX = 8 only; with it
+# the mobius section takes 2.5 s, 2.0 s and 0.3 s with one key at its cap.
 NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
+
+# Work budgets of the other sections, per key with the rest of the section at
+# its defaults: the largest value measured to finish within the budget of the
+# section's acceptance criterion (kernel sums, criterion 6: 60 s; psi and the
+# positivity check, criterion 9: 120 s; reconstruction, criterion 10: 120 s)
+# on a shared 2-vCPU host.  At the caps the kernel sums took 8.5 s, 6.3 s and
+# 33 s, psi 80 s, 97 s and 84 s, reconstruction 60 s, 28 s, 9.6 s and 4.2 s,
+# positivity 19 s; one step above, every key run exceeded its budget
+# (unit_n_max, cheap since the unit identity is grouped by kernel, was not
+# run above 256).
+WORK_CAPS = {
+    "nc": NC_M_CAPS,
+    "kernel_sums": {"n_max": 5, "m_max": 5, "quantum_m_max": 6},
+    "psi": {"k_max": 10, "n_max": 10, "m_max": 6},
+    "reconstruction": {"m_max": 6, "n_max": 32, "unit_m_max": 6, "unit_n_max": 256},
+    "positivity": {"max_len": 4},
+}
+# Side of the positivity Gram matrix: 341 at the defaults k = n = 2 with the
+# largest max_len, 19 s; the next max_len (1,365) exceeded 120 s.
+GRAM_SIZE_CAP = 341
+
+
+def gram_size(k: int, n: int, max_len: int) -> int:
+    """Side of the positivity check's Gram matrix: the number of words of
+    length 0..max_len over k*n letters."""
+    return sum((k * n) ** length for length in range(max_len + 1))
 
 
 class ConfigError(ValueError):
@@ -106,9 +132,9 @@ def merge_config(overrides: dict | None) -> dict:
 
     Every key must exist in DEFAULT_CONFIG, with a value of the default's
     type (an int passes for a float, a bool never for a number); only the
-    keys inside ``law`` are free-form.  The Mobius sizes must stay within
-    NC_M_CAPS.  Raises ConfigError naming the dotted path of the first
-    offending key.
+    keys inside ``law`` are free-form.  The sizes must stay within
+    WORK_CAPS and the positivity Gram matrix within GRAM_SIZE_CAP.  Raises
+    ConfigError naming the dotted path of the first offending key.
     """
     def deep(base, over, path):
         out = dict(base)
@@ -131,10 +157,16 @@ def merge_config(overrides: dict | None) -> dict:
     if not isinstance(overrides or {}, dict):
         raise ConfigError("the config must be a JSON object")
     merged = deep(DEFAULT_CONFIG, overrides or {}, "")
-    for key, cap in NC_M_CAPS.items():
-        if merged["nc"][key] > cap:
-            raise ConfigError(f"config key 'nc.{key}' must be <= {cap} (work budget), "
-                              f"got {merged['nc'][key]}")
+    for section, caps in WORK_CAPS.items():
+        for key, cap in caps.items():
+            if merged[section][key] > cap:
+                raise ConfigError(f"config key '{section}.{key}' must be <= {cap} "
+                                  f"(work budget), got {merged[section][key]}")
+    size = gram_size(**merged["positivity"])
+    if size > GRAM_SIZE_CAP:
+        raise ConfigError(f"config keys 'positivity.k', 'positivity.n' and "
+                          f"'positivity.max_len' give a Gram matrix of size {size}, "
+                          f"must be <= {GRAM_SIZE_CAP} (work budget)")
     return merged
 
 
@@ -206,10 +238,11 @@ def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         "mobius_identity", 0, params={"m_max": cfg["mobius_m_max"]}, seed=seed
     )
     for m in range(0, cfg["mobius_m_max"] + 1):
-        for p in cache.nc(m):
-            below_p = cache.below(p)
-            for s in below_p:
-                total = sum(cache.mobius(s, rho) for rho in below_p if leq(s, rho))
+        order = cache.order(m)
+        for i, p in enumerate(cache.nc(m)):
+            below_p, at = cache.below(p), np.flatnonzero(order[:, i])
+            for s, row in zip(below_p, order[np.ix_(at, at)]):
+                total = sum(cache.mobius(s, below_p[b]) for b in np.flatnonzero(row).tolist())
                 expected = 1 if s == p else 0
                 tracker.add(("pair", m, repr(s), repr(p)), abs(total - expected))
     reports.append(tracker.report())

@@ -25,6 +25,7 @@ synthesizes each free moment once per kernel of the shifted index tuple.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from .partitions import (
     OrderError,
     Partition,
     default_cache,
+    enumerate_all,
     kernel,
     kernel_rgs,
     leq,
@@ -195,7 +197,10 @@ def combinatorial_unit_identity(
 
     This is the scalar identity that makes the reconstruction exact; the
     contract is that it always equals 1 on its domain (tau non-crossing and
-    below the kernel of the columns).
+    below the kernel of the columns).  A band tuple assigns one value in
+    {1..n} to each block of tau, and its weight depends only on the kernel
+    rho of that assignment, a partition of the blocks; so the sum runs over
+    rho in P(|tau|), each weight counted n (n-1) ... (n-|rho|+1) times.
     """
     if not tau.is_noncrossing():
         raise OrderError(f"{tau!r} is crossing")
@@ -203,12 +208,11 @@ def combinatorial_unit_identity(
         raise OrderError(f"{tau!r} is not below the kernel of {cols}")
     cache = cache or default_cache()
     total = Fraction(0)
-    for assignment in itertools.product(range(1, n + 1), repeat=tau.size()):
-        band = [0] * tau.m
-        for value, block in zip(assignment, tau.blocks):
-            for pos in block:
-                band[pos - 1] = value
-        total += reconstruction_weight(cols, tuple(band), n, cache)
+    for rho in enumerate_all(tau.size()):
+        count = math.perm(n, rho.size())  # 0 when rho has more than n blocks
+        if count:
+            band = tuple(rho.rgs[label] + 1 for label in tau.rgs)
+            total += count * reconstruction_weight(cols, band, n, cache)
     return total
 
 

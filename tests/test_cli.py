@@ -3,8 +3,18 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from qspread.cli import main
-from qspread.suites import DEFAULT_CONFIG, NC_M_CAPS, merge_config
+from qspread.suites import (
+    DEFAULT_CONFIG,
+    GRAM_SIZE_CAP,
+    NC_M_CAPS,
+    WORK_CAPS,
+    ConfigError,
+    gram_size,
+    merge_config,
+)
 
 TRIMMED = {
     "nc": {"m_max": 6, "mobius_m_max": 4, "zeta_m_max": 3, "column_m_max": 4},
@@ -290,6 +300,58 @@ class TestMobiusWorkBudget:
         path = write_config(tmp_path, {"nc": {"zeta_m_max": NC_M_CAPS["zeta_m_max"] + 1}})
         assert main(["nc", "mobius", "--m", "2", "--config", path]) == 2
         assert "'nc.zeta_m_max'" in capsys.readouterr().err
+
+
+class TestWorkBudgets:
+    """The other sections' sizes above their caps are rejected up front (exit
+    2, naming the key), each section through the suite config."""
+
+    def test_caps_admit_the_defaults_and_match_the_schema(self):
+        schema = json.loads((Path(__file__).parents[1] / "docs" / "config.schema.json")
+                            .read_text())["properties"]
+        for section, caps in WORK_CAPS.items():
+            for key, cap in caps.items():
+                assert DEFAULT_CONFIG[section][key] <= cap, (section, key)
+                assert schema[section]["properties"][key]["maximum"] == cap, (section, key)
+        assert gram_size(**DEFAULT_CONFIG["positivity"]) <= GRAM_SIZE_CAP
+        assert f"<= {GRAM_SIZE_CAP} (work budget)" in schema["positivity"]["description"]
+        assert merge_config({section: dict(caps) for section, caps in WORK_CAPS.items()})
+
+    def over_each_cap_is_2(self, section, tmp_path, capsys):
+        for key, cap in WORK_CAPS[section].items():
+            path = write_config(tmp_path, {section: {key: cap + 1}})
+            assert main(["suite", "all", "--config", path]) == 2, key
+            out = capsys.readouterr()
+            assert f"'{section}.{key}'" in out.err and out.out == ""
+
+    def test_kernel_sums_over_each_cap_is_2(self, tmp_path, capsys):
+        self.over_each_cap_is_2("kernel_sums", tmp_path, capsys)
+
+    def test_psi_over_each_cap_is_2(self, tmp_path, capsys):
+        self.over_each_cap_is_2("psi", tmp_path, capsys)
+        assert main(["wg", "psi", "--k", str(WORK_CAPS["psi"]["k_max"] + 1)]) == 2
+        assert "'psi.k_max'" in capsys.readouterr().err
+
+    def test_reconstruction_over_each_cap_is_2(self, tmp_path, capsys):
+        self.over_each_cap_is_2("reconstruction", tmp_path, capsys)
+        over = WORK_CAPS["reconstruction"]["unit_n_max"] + 1
+        path = write_config(tmp_path, {"reconstruction": {"unit_n_max": over}})
+        assert main(["wg", "reconstruct", "--config", path]) == 2
+        assert "'reconstruction.unit_n_max'" in capsys.readouterr().err
+
+    def test_positivity_over_each_cap_is_2(self, tmp_path, capsys):
+        self.over_each_cap_is_2("positivity", tmp_path, capsys)
+        n = 1  # a Gram matrix over the cap with max_len at its default
+        while gram_size(2, n + 1, 2) <= GRAM_SIZE_CAP:
+            n += 1
+        merge_config({"positivity": {"n": n}})
+        path = write_config(tmp_path, {"positivity": {"n": n + 1}})
+        assert main(["suite", "all", "--config", path]) == 2
+        out = capsys.readouterr()
+        assert "'positivity.n'" in out.err and "Gram" in out.err and out.out == ""
+        with pytest.raises(ConfigError):
+            merge_config({"positivity": {"k": GRAM_SIZE_CAP, "n": 1, "max_len": 2}})
+        assert gram_size(2, 2, 2) == 1 + 4 + 16
 
 
 class TestNumericalFailures:

@@ -21,7 +21,7 @@ from qspread.moments import (
     sandwiched_moment,
     semicircular_law,
 )
-from qspread.partitions import MobiusCache, Partition
+from qspread.partitions import MobiusCache, Partition, kernel
 
 CACHE = MobiusCache()
 
@@ -246,6 +246,21 @@ class TestFreeIIDMoment:
         scaled_right = Word((1, 2, 1), inserts[:-1] + (inserts[-1] @ b,), (1, 1, 1))
         assert (free_iid_moment(law, scaled_left, CACHE) == b @ base).all()
         assert (free_iid_moment(law, scaled_right, CACHE) == base @ b).all()
+
+    def test_shared_moments_are_bit_identical_to_recomputing_them(self):
+        # float backends: the same summation order must give the same bits
+        rng = np.random.default_rng(57)
+        scalar = ScalarLaw([1.0 + 0j] + [complex(*rng.standard_normal(2)) for _ in range(8)])
+        for law in (scalar, random_matrix_law(2, 2, seed=58)):
+            for m in range(1, 6):
+                for idx in itertools.product((1, 2, 3), repeat=m):
+                    word = Word(idx, tuple(law.random_element(rng) for _ in range(m + 1)),
+                                (1,) * m)
+                    single = word.with_indices((1,) * m)
+                    recomputed = law.zero()
+                    for part in CACHE.below(kernel(idx)):
+                        recomputed = recomputed + partition_cumulant(law, part, single, CACHE)
+                    assert np.array_equal(free_iid_moment(law, word, CACHE), recomputed)
 
     def test_constant_indices_match_direct_eval(self):
         law = random_scalar_law(seed=56)

@@ -6,7 +6,9 @@ partitions validated block by block, ``kernel`` by grouping positions per
 value, ``leq`` by block lookups, ``meet`` by pairs of block indices, and both
 enumerations building every partition through the validating constructor.
 The Mobius oracle is the memoized recursion over down-sets that the closed
-form (the relative Kreweras complement) replaced.
+form (the relative Kreweras complement) replaced.  The NC(m) tables are
+checked against what they replaced: the recursive enumeration, ``leq`` scans
+for the down-sets and the order matrix, and the O(|NC(m)|^2) column scan.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspread.partitions import (
+    ORDER_M_MAX,
     MobiusCache,
     OrderError,
     Partition,
@@ -27,7 +30,9 @@ from qspread.partitions import (
     kernel,
     leq,
     meet,
+    mobius_column_oracle,
 )
+from qspread.suites import NC_M_CAPS
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -119,7 +124,9 @@ def old_enumerate_all(m: int) -> Iterator[OldPartition]:
         yield OldPartition(m, blocks)
 
 
-def old_enumerate_nc(m: int) -> list[OldPartition]:
+def old_nc_blocks(m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """NC(m) as block tuples, by the recursion the table-built enumeration
+    replaced: choose the block of the least element, recurse on each gap."""
     def rec(elems: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
         if not elems:
             yield ()
@@ -139,7 +146,11 @@ def old_enumerate_nc(m: int) -> list[OldPartition]:
                 for combo in itertools.product(*(list(rec(s)) for s in segments)):
                     yield (block,) + tuple(itertools.chain.from_iterable(combo))
 
-    return [OldPartition(m, blocks) for blocks in rec(tuple(range(1, m + 1)))]
+    return rec(tuple(range(1, m + 1)))
+
+
+def old_enumerate_nc(m: int) -> list[OldPartition]:
+    return [OldPartition(m, blocks) for blocks in old_nc_blocks(m)]
 
 
 def both_cores(m: int) -> list[tuple[OldPartition, Partition]]:
@@ -190,6 +201,51 @@ class TestAgainstOldCore:
             for old_p, new_p in both_cores(m):
                 expected = [new_s for old_s, new_s in nc if old_leq(old_s, old_p)]
                 assert list(cache.below(new_p)) == expected
+                assert cache.below(new_p) == tuple(s for s in cache.nc(m) if leq(s, new_p))
+
+
+def scanned_column(m: int, cache: MobiusCache) -> dict[Partition, int]:
+    """The column mu(., full) by the O(|NC(m)|^2) scan the up-set
+    back-substitution replaced: every rho already solved, tested by leq."""
+    elems = sorted(cache.nc(m), key=lambda p: -p.size())  # finer first
+    top = Partition.full(m)
+    column: dict[Partition, int] = {}
+    for p in sorted(elems, key=lambda p: p.size()):  # coarser first
+        if p == top:
+            column[p] = 1
+        else:
+            column[p] = -sum(
+                column[rho] for rho in elems if rho != p and rho in column and leq(p, rho)
+            )
+    return column
+
+
+class TestTablesAgainstScans:
+    def test_enumeration_is_the_recursion_in_order_m_le_10(self):
+        cache = MobiusCache()
+        for m in range(0, 11):
+            expected = list(old_nc_blocks(m))
+            assert [p.blocks for p in enumerate_nc(m)] == expected
+            assert [p.blocks for p in cache.nc(m)] == expected
+
+    def test_order_matrix_is_leq_on_all_pairs_m_le_7(self):
+        cache = MobiusCache()
+        for m in range(0, 8):
+            elems, order = cache.nc(m), cache.order(m)
+            assert order.shape == (len(elems), len(elems)) and order.dtype == bool
+            assert order.tolist() == [[leq(p, q) for q in elems] for p in elems]
+
+    def test_column_oracle_is_the_scan_m_le_7(self):
+        cache = MobiusCache()
+        for m in range(0, 8):
+            assert mobius_column_oracle(m, cache) == scanned_column(m, cache)
+
+    def test_no_order_matrix_above_its_cap(self):
+        cache = MobiusCache()
+        with pytest.raises(ValueError):
+            cache.order(ORDER_M_MAX + 1)
+        assert ORDER_M_MAX + 1 not in cache._order
+        assert max(NC_M_CAPS.values()) <= ORDER_M_MAX
 
 
 def recursive_mobius(s: Partition, p: Partition, cache: MobiusCache, memo: dict) -> int:

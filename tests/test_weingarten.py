@@ -8,6 +8,7 @@ import pytest
 from qspread.moments import Word, free_iid_moment, random_rational_matrix_law, semicircular_law
 from qspread.partitions import MobiusCache, OrderError, Partition, kernel, leq, meet
 from qspread.reports import EXACT_ZERO
+from qspread.suites import DEFAULT_CONFIG, _kernel_pattern_tuples
 from qspread.weingarten import (
     BlockQuery,
     block_state_moment,
@@ -20,6 +21,20 @@ from qspread.weingarten import (
 )
 
 CACHE = MobiusCache()
+
+
+def enumerated_unit_sum(tau: Partition, cols, n: int, cache: MobiusCache) -> Fraction:
+    """The unit identity's sum as it was computed before the grouping by
+    kernel: one reconstruction weight per assignment of {1..n} to the blocks
+    of tau, all n^|tau| of them."""
+    total = Fraction(0)
+    for assignment in itertools.product(range(1, n + 1), repeat=tau.size()):
+        band = [0] * tau.m
+        for value, block in zip(assignment, tau.blocks):
+            for pos in block:
+                band[pos - 1] = value
+        total += reconstruction_weight(cols, tuple(band), n, cache)
+    return total
 
 
 class TestBlockQuery:
@@ -146,6 +161,18 @@ class TestUnitIdentity:
                         continue
                     for n in (1, 2, 3):
                         assert combinatorial_unit_identity(tau, cols, n, CACHE) == 1
+
+    def test_grouped_by_kernel_equals_the_enumeration_on_the_default_sweep(self):
+        cfg = DEFAULT_CONFIG["reconstruction"]
+        cache, identities = MobiusCache(), 0
+        for m in range(1, cfg["unit_m_max"] + 1):
+            for cols in _kernel_pattern_tuples(m):
+                for tau in cache.below(kernel(cols)):
+                    for n in range(1, cfg["unit_n_max"] + 1):
+                        grouped = combinatorial_unit_identity(tau, cols, n, cache)
+                        assert grouped == enumerated_unit_sum(tau, cols, n, cache)
+                        identities += 1
+        assert identities == 296
 
     def test_domain_errors(self):
         with pytest.raises(OrderError):
