@@ -8,13 +8,12 @@ from .partitions import (
     catalan,
     enumerate_all,
     enumerate_nc,
-    is_noncrossing,
     kernel,
     leq,
     meet,
     mobius,
 )
-from .linalg import BAlgebra, partial_expectation, projection_pair, random_pvm
+from .linalg import BAlgebra, projection_pair, random_pvm
 from .moments import (
     FreeSequence,
     IndependentSequence,

@@ -1,38 +1,40 @@
 """Executable invariance conditions for sequences of noncommutative variables.
 
 A sequence model supplies joint moments; a representation supplies a concrete
-family of projections.  Exchangeability (square families) and spreadability
-(rectangular families) are both instances of one equation: for every word
-with target labels j_1..j_m,
+family of projections.  Exchangeability (square families), spreadability
+(rectangular families) and their operator-valued form are one equation: for
+every word with target labels j_1..j_m,
 
-    sum over i in [n]^m of  phi(moment at i) * u_{i_1 j_1} ... u_{i_m j_m}
-        =  phi(moment at j) * identity.
+    sum over i in [n]^m of  f(i) (x) u_{i_1 j_1} ... u_{i_m j_m}  =  f(j) (x) 1,
 
-The checks compute both sides and report the worst residual over a word
-suite.  Their workhorse, and the content of the induction behind the
-free-implies-invariant direction, is the kernel-constrained generator sum,
-which must collapse to 0 or 1.
-
-That sum is defined here only for a non-crossing partition pi, and computed
-by one fold over the nesting tree of pi: the sum over an interval is the
-product of its outer blocks' sums, and an outer block sums its generator
-product over a common row v, with the already folded sums over its gaps
-between consecutive factors.  Rows where a generator is exactly zero are
-skipped.  A crossing partition is rejected.  An outer block's sum depends
-only on the RGS of pi over the block's span and on the targets there; the
-sweep ``check_kernel_sums`` keeps one memo of block sums under that key for
-all its partitions, target tuples and lengths.
+with f the scalar moment and (x) the product by a scalar (B = C), or f the
+B-valued moment and (x) the Kronecker product.  One engine, ``_lhs``, forms
+the left-hand side.  When f depends only on the kernel of i it sums over the
+kernels sigma instead of the tuples, g(sigma) (x) S(sigma): g is the Mobius
+inversion of f over the partition lattice and S(sigma) the kernel-constrained
+generator sum, which must collapse to 0 or 1 (the content of the
+free-implies-invariant direction).  For a non-crossing sigma, S is one fold
+over its nesting tree: an interval's sum is the product of its outer blocks'
+sums, and a block sums its generator product over a common row, with its
+gaps already folded; one memo of block sums serves a whole check or
+``check_kernel_sums`` sweep.  A crossing sigma is enumerated over its row
+assignments.  Rows where a generator is exactly zero are skipped.
 """
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections import Counter
 
 import numpy as np
 
 from .linalg import residual_norm
 from .moments import Word
-from .partitions import MobiusCache, Partition, default_cache, kernel, kernel_rgs, leq
-from .qis import Representation, check_increasing_relations
+from .partitions import (
+    MobiusCache, Partition, default_cache, enumerate_all, kernel, kernel_rgs, leq,
+)
+from .qis import Representation, check_increasing_relations, enumerate_increasing
 from .qperm import check_magic_unitary
 from .reports import CheckReport, ResidualTracker
 
@@ -48,13 +50,6 @@ def _require_valid(rep: Representation, tolerance: float) -> None:
         raise ValueError(
             f"representation fails its defining relations: residual {report.max_residual}"
         )
-
-
-def _generator_product(rep: Representation, rows, cols) -> np.ndarray:
-    out = rep.gen(rows[0], cols[0])
-    for i, j in zip(rows[1:], cols[1:]):
-        out = out @ rep.gen(i, j)
-    return out
 
 
 def _nesting_plan(part: Partition) -> tuple:
@@ -206,144 +201,147 @@ def check_kernel_sums(
     return tracker.report()
 
 
-def _phi_values(seq, word: Word, n: int):
-    """phi(moment) for every index tuple in [n]^m, memoized appropriately."""
-    m = word.length
-    memo: dict = {}
-    values: dict[tuple[int, ...], object] = {}
-    for tup in itertools.product(range(1, n + 1), repeat=m):
-        key = kernel(tup) if getattr(seq, "kernel_invariant", False) else tup
-        if key not in memo:
-            memo[key] = seq.phi_moment(word.with_indices(tup))
-        values[tup] = memo[key]
-    return values
+def _mobius_p(pi: Partition, sigma: Partition) -> int:
+    """mu(pi, sigma) on the lattice P(m) of all partitions, for pi <= sigma:
+    the product over the blocks of sigma of (-1)^(k-1) (k-1)!, with k the
+    number of blocks of pi inside it (Rota 1964)."""
+    pieces = Counter(s for s, _ in set(zip(sigma.rgs, pi.rgs)))
+    return math.prod((-1) ** (k - 1) * math.factorial(k - 1) for k in pieces.values())
 
 
-def _invariance_residuals(seq, rep: Representation, words, tracker: ResidualTracker):
-    one = rep.unit()
-    mask = rep.nonzero_mask()
-    for word in words:
-        targets = word.indices
-        if max(targets) > rep.k:
-            raise ValueError(
-                f"word targets {targets} exceed the {rep.k} columns of the family"
-            )
-        phi = _phi_values(seq, word, rep.n)
-        lhs = rep.zero()
-        for tup, coefficient in phi.items():
-            if mask is not None and not all(
-                mask[(i, j)] for i, j in zip(tup, targets)
-            ):
-                continue
-            lhs = lhs + coefficient * _generator_product(rep, tup, targets)
-        rhs = seq.phi_moment(word) * one
-        tracker.add(
-            ("word", list(word.indices), list(word.powers)),
-            residual_norm(lhs - rhs),
-        )
+def _kernel_classes(m: int, n: int) -> list:
+    """The kernels of the tuples in [n]^m, which are the partitions sigma of
+    {1..m} with at most n blocks, each as (sigma, its RGS counted from 1,
+    the pairs (position of pi, mu_P(pi, sigma)) for the pi <= sigma among
+    them, the nesting plan of sigma or None when it crosses)."""
+    parts = [p for p in enumerate_all(m) if p.size() <= n]
+    return [(sigma, tuple(r + 1 for r in sigma.rgs),
+             [(a, _mobius_p(pi, sigma)) for a, pi in enumerate(parts) if leq(pi, sigma)],
+             _nesting_plan(sigma) if sigma.is_noncrossing() else None)
+            for sigma in parts]
 
 
-def check_exchangeable(
-    seq,
-    rep: Representation,
-    words,
-    tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
-    seed: int | None = None,
-) -> CheckReport:
-    """Invariance of the scalar joint distribution under a square family."""
-    if rep.kind != "permutation":
-        raise ValueError("exchangeability needs a permutation-kind representation")
+def _total(terms):
+    """The sum of ``terms``, or None when there are none."""
+    total = None
+    for term in terms:
+        total = term if total is None else total + term
+    return total
+
+
+def _products(gens: dict, blocks, targets, rows_for: dict):
+    """(rows, u_{rows_1 j_1} ... u_{rows_m j_m}) for every row tuple that is
+    constant on each of ``blocks``, in lexicographic order, leaving out the
+    tuples with an exactly zero factor."""
+    choices = [[v for v in rows_for[targets[b[0] - 1]]
+                if all(v in rows_for[targets[p - 1]] for p in b)] for b in blocks]
+    rows = [0] * len(targets)
+    for assignment in itertools.product(*choices):
+        for v, block in zip(assignment, blocks):
+            for p in block:
+                rows[p - 1] = v
+        product = gens[(rows[0], targets[0])]
+        for i, j in zip(rows[1:], targets[1:]):
+            product = product @ gens[(i, j)]
+        yield tuple(rows), product
+
+
+def _lhs(seq, rep: Representation, word: Word, value, combine, rows_for: dict, memo: dict):
+    """The left-hand side of the invariance equation: the sum over i in [n]^m
+    of combine(value(word at i), u_{i_1 j_1} ... u_{i_m j_m}), or None when
+    every term vanishes identically.
+
+    When ``seq`` is kernel-invariant, f(i) = value(word at i) depends only on
+    ker(i), and the sum runs over the kernel classes sigma instead, as
+    combine(g(sigma), S(sigma)): g(sigma) sums mu_P(pi, sigma) f(pi) over the
+    classes pi <= sigma, and S(sigma) is the kernel-constrained sum, folded
+    when sigma is non-crossing and enumerated over its n^|sigma| row
+    assignments when it crosses.  Classes with g exactly zero are skipped.
+    g does not depend on the targets, so ``memo`` keeps it per powers and
+    inserts (the check holds its words, so the id of their inserts stays
+    theirs), beside the kernel classes per length and the block sums of
+    ``_fold``.
+    """
+    targets, m = word.indices, word.length
+    if not getattr(seq, "kernel_invariant", False):
+        return _total(combine(value(word.with_indices(rows)), product) for rows, product
+                      in _products(rep.gens, Partition.singletons(m).blocks, targets, rows_for))
+    key = (word.powers, id(word.inserts))
+    if key not in memo["g"]:
+        if m not in memo["classes"]:
+            memo["classes"][m] = _kernel_classes(m, rep.n)
+        f = [value(word.with_indices(tup)) for _, tup, _, _ in memo["classes"][m]]
+        memo["g"][key] = [
+            (sigma, plan, g) for sigma, _, terms, plan in memo["classes"][m]
+            if np.any(g := sum(mu * f[a] for a, mu in terms))
+        ]
+    sums = ((g, _fold(rep.gens, plan, targets, rows_for, memo["fold"]) if plan else
+             _total(p for _, p in _products(rep.gens, sigma.blocks, targets, rows_for)))
+            for sigma, plan, g in memo["g"][key])
+    return _total(combine(g, s) for g, s in sums if s is not None)
+
+
+def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, seed,
+           value, combine, residual) -> ResidualTracker:
+    """The one invariance check: for each word, the residual of
+    lhs - combine(value(word), 1), one tracker case per word."""
+    if rep.kind != kind:
+        what = "exchangeability" if kind == "permutation" else "spreadability"
+        raise ValueError(f"{what} needs a {kind}-kind representation")
     _require_valid(rep, tolerance)
     words = list(words)
-    tracker = ResidualTracker(
-        "quantum_exchangeable",
-        tolerance,
-        params={"n": rep.n, "dim": rep.dim, "words": len(words)},
-        seed=seed if seed is not None else rep.seed,
-    )
-    _invariance_residuals(seq, rep, words, tracker)
-    return tracker.report()
+    params = {"n": rep.n, "dim": rep.dim, "words": len(words)}
+    if kind == "increasing":
+        params["k"] = rep.k
+    tracker = ResidualTracker(name, tolerance, params=params,
+                              seed=seed if seed is not None else rep.seed)
+    one, rows_for = rep.unit(), _rows_for(rep)
+    memo: dict = {"g": {}, "classes": {}, "fold": {}}
+    for word in words:
+        if max(word.indices) > rep.k:
+            raise ValueError(f"word targets {word.indices} exceed the {rep.k} "
+                             "columns of the family")
+        lhs = _lhs(seq, rep, word, value, combine, rows_for, memo)
+        rhs = combine(value(word), one)
+        tracker.add(("word", list(word.indices), list(word.powers)),
+                    residual(-rhs if lhs is None else lhs - rhs))
+    return tracker
 
 
-def check_spreadable(
-    seq,
-    rep: Representation,
-    words,
-    tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
-    seed: int | None = None,
-) -> CheckReport:
+def check_exchangeable(seq, rep: Representation, words,
+                       tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
+                       seed: int | None = None) -> CheckReport:
+    """Invariance of the scalar joint distribution under a square family."""
+    return _check("quantum_exchangeable", "permutation", seq, rep, words, tolerance, seed,
+                  seq.phi_moment, operator.mul, residual_norm).report()
+
+
+def check_spreadable(seq, rep: Representation, words,
+                     tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
+                     seed: int | None = None) -> CheckReport:
     """Invariance under a rectangular family, plus its classical shadow.
 
     The classical part substitutes every increasing relabeling of the targets
     and demands equal moments; for kernel-invariant models this holds
     identically, so any nonzero residual there is a real failure.
     """
-    from .qis import enumerate_increasing
-
-    if rep.kind != "increasing":
-        raise ValueError("spreadability needs an increasing-kind representation")
-    _require_valid(rep, tolerance)
     words = list(words)
-    tracker = ResidualTracker(
-        "quantum_spreadable",
-        tolerance,
-        params={"k": rep.k, "n": rep.n, "dim": rep.dim, "words": len(words)},
-        seed=seed if seed is not None else rep.seed,
-    )
-    _invariance_residuals(seq, rep, words, tracker)
+    tracker = _check("quantum_spreadable", "increasing", seq, rep, words, tolerance, seed,
+                     seq.phi_moment, operator.mul, residual_norm)
     for l in enumerate_increasing(rep.k, rep.n):
         for word in words:
             relabeled = word.with_indices(tuple(l.values[j - 1] for j in word.indices))
             gap = seq.phi_moment(relabeled) - seq.phi_moment(word)
-            tracker.add(
-                ("classical-point", list(l.values), list(word.indices)), abs(gap)
-            )
+            tracker.add(("classical-point", list(l.values), list(word.indices)), abs(gap))
     return tracker.report()
 
 
-def _max_abs_entry(a: np.ndarray):
-    return max((abs(x) for x in a.flat), default=0)
-
-
-def check_bvalued_spreadable(
-    seq,
-    rep: Representation,
-    words,
-    tolerance: float = 1e-8,
-    seed: int | None = None,
-) -> CheckReport:
+def check_bvalued_spreadable(seq, rep: Representation, words, tolerance: float = 1e-8,
+                             seed: int | None = None) -> CheckReport:
     """Operator-valued spreadability: both sides live in B tensor M_dim and
     carry the word's inserts inside the expectations."""
-    if rep.kind != "increasing":
-        raise ValueError("spreadability needs an increasing-kind representation")
-    _require_valid(rep, tolerance)
-    words = list(words)
-    tracker = ResidualTracker(
-        "bvalued_spreadable",
-        tolerance,
-        params={"k": rep.k, "n": rep.n, "dim": rep.dim, "words": len(words)},
-        seed=seed if seed is not None else rep.seed,
-    )
-    one = rep.unit()
-    for word in words:
-        targets = word.indices
-        if max(targets) > rep.k:
-            raise ValueError(f"word targets {targets} exceed {rep.k} columns")
-        m = word.length
-        memo: dict = {}
-        lhs = None
-        for tup in itertools.product(range(1, rep.n + 1), repeat=m):
-            key = kernel(tup) if getattr(seq, "kernel_invariant", False) else tup
-            if key not in memo:
-                memo[key] = seq.moment(word.with_indices(tup))
-            term = np.kron(memo[key], _generator_product(rep, tup, targets))
-            lhs = term if lhs is None else lhs + term
-        rhs = np.kron(seq.moment(word), one)
-        tracker.add(
-            ("word", list(word.indices), list(word.powers)),
-            _max_abs_entry(lhs - rhs),
-        )
-    return tracker.report()
+    return _check("bvalued_spreadable", "increasing", seq, rep, words, tolerance, seed,
+                  seq.moment, np.kron, lambda a: max(abs(x) for x in a.flat)).report()
 
 
 def suite_words(law, max_targets: int, max_len: int, with_powers: bool = True):

@@ -46,12 +46,6 @@ def rational_zeros(n: int, m: int | None = None) -> np.ndarray:
     return np.full((n, m if m is not None else n), Fraction(0), dtype=object)
 
 
-def eye_like(a: np.ndarray) -> np.ndarray:
-    """Identity matrix on the same backend and size as ``a``."""
-    n = a.shape[0]
-    return rational_eye(n) if is_exact(a) else np.eye(n, dtype=complex)
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (Fraction.conjugate() is the identity, as needed)."""
     return np.conj(a).T
@@ -96,10 +90,6 @@ class BAlgebra:
         """The unit of B."""
         return rational_eye(self.d) if self.exact else np.eye(self.d, dtype=complex)
 
-    def ambient_unit(self) -> np.ndarray:
-        n = self.ambient_dim
-        return rational_eye(n) if self.exact else np.eye(n, dtype=complex)
-
     def embed(self, b: np.ndarray) -> np.ndarray:
         """b -> b (x) 1_D into the ambient algebra."""
         if b.shape != (self.d, self.d):
@@ -122,11 +112,6 @@ class BAlgebra:
         n = b.shape[0]
         tr = b.trace()
         return tr * Fraction(1, n) if is_exact(b) else complex(tr) / n
-
-
-def partial_expectation(alg: BAlgebra, a: np.ndarray) -> np.ndarray:
-    """E[a] for an ambient matrix a; see BAlgebra.expect."""
-    return alg.expect(a)
 
 
 def projection_pair(theta: float) -> tuple[np.ndarray, np.ndarray]:

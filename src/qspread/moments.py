@@ -327,16 +327,16 @@ class IndependentSequence:
 
     Joint moments factor over distinct indices.  With different lists per
     index this is the deliberately broken, non-identically-distributed model
-    used as a negative control in the invariance checkers.
+    used as a negative control in the invariance checkers; with equal lists
+    it is classical i.i.d., and its moments depend only on the kernel.
     """
-
-    kernel_invariant = False
 
     def __init__(self, moment_lists: dict[int, Sequence]):
         self.laws = {i: list(ms) for i, ms in moment_lists.items()}
         for i, ms in self.laws.items():
             if not ms or ms[0] != 1:
                 raise ValueError(f"moment list for index {i} must start with 1")
+        self.kernel_invariant = len({tuple(ms) for ms in self.laws.values()}) == 1
         self.exact = all(
             isinstance(v, (int, Fraction)) for ms in self.laws.values() for v in ms
         )

@@ -151,11 +151,6 @@ def _noncrossing_scan(rgs: tuple[int, ...]) -> bool:
     return True
 
 
-def is_noncrossing(p: Partition) -> bool:
-    """True iff no two blocks interleave."""
-    return p.is_noncrossing()
-
-
 def kernel(indices: Sequence) -> Partition:
     """Partition of positions {1..m} grouping equal values of ``indices``."""
     if not indices:

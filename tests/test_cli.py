@@ -327,6 +327,14 @@ class TestWorkBudgets:
     def test_kernel_sums_over_each_cap_is_2(self, tmp_path, capsys):
         self.over_each_cap_is_2("kernel_sums", tmp_path, capsys)
 
+    def test_invariance_word_lengths_over_each_cap_are_2(self, tmp_path, capsys):
+        for section in ("exchangeable", "spreadable", "bvalued"):
+            self.over_each_cap_is_2(section, tmp_path, capsys)
+        over = WORK_CAPS["spreadable"]["max_word_len"] + 1
+        path = write_config(tmp_path, {"spreadable": {"max_word_len": over}})
+        assert main(["inv", "spreadable", "--config", path]) == 2
+        assert "'spreadable.max_word_len'" in capsys.readouterr().err
+
     def test_psi_over_each_cap_is_2(self, tmp_path, capsys):
         self.over_each_cap_is_2("psi", tmp_path, capsys)
         assert main(["wg", "psi", "--k", str(WORK_CAPS["psi"]["k_max"] + 1)]) == 2

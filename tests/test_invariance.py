@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qspread.invariance import (
     _fold,
+    _kernel_classes,
+    _lhs,
+    _mobius_p,
     _nesting_plan,
     _rows_for,
     check_bvalued_spreadable,
@@ -30,9 +35,10 @@ from qspread.moments import (
     IndependentSequence,
     Word,
     random_matrix_law,
+    random_rational_matrix_law,
     semicircular_law,
 )
-from qspread.partitions import MobiusCache, Partition, enumerate_nc
+from qspread.partitions import MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, leq
 from qspread.qis import (
     Representation,
     build_block_rep,
@@ -43,8 +49,10 @@ from qspread.qis import (
 )
 from qspread.qperm import convolution, permutation_rep, two_point_rep
 from qspread.reports import EXACT_ZERO
+from qspread.suites import DEFAULT_CONFIG, _broken_sequence
 
 CACHE = MobiusCache()
+SEED = 20260810  # the seed of the acceptance criteria and the default config
 
 
 def projection_perm_rep(theta=0.8):
@@ -72,6 +80,37 @@ def enumerated_kernel_sum(rep, part, targets):
             product = product @ rep.gen(i, j)
         total = total + product
     return total
+
+
+def tuple_sum_lhs(seq, rep, word, value, combine):
+    """Differential oracle for ``_lhs``: the plain sum over all of [n]^m of
+    combine(value(word at i), u_{i_1 j_1} ... u_{i_m j_m}), one generator
+    product per tuple, nothing skipped."""
+    total = None
+    for rows in itertools.product(range(1, rep.n + 1), repeat=word.length):
+        product = rep.gen(rows[0], word.indices[0])
+        for i, j in zip(rows[1:], word.indices[1:]):
+            product = product @ rep.gen(i, j)
+        term = combine(value(word.with_indices(rows)), product)
+        total = term if total is None else total + term
+    return total
+
+
+def engine_defects(seq, rep, words, bvalued=False):
+    """(word, _lhs - oracle) for every word, through one memo for all of
+    them, as the checks keep it."""
+    value, combine = (seq.moment, np.kron) if bvalued else (seq.phi_moment, operator.mul)
+    rows_for, memo = _rows_for(rep), {"g": {}, "classes": {}, "fold": {}}
+    words = list(words)
+    for word in words:
+        got = _lhs(seq, rep, word, value, combine, rows_for, memo)
+        want = tuple_sum_lhs(seq, rep, word, value, combine)
+        yield word, -want if got is None else got - want
+
+
+def bernoulli_iid(n=4):
+    """Classical i.i.d. +-1 Bernoulli variables: one moment list for all."""
+    return IndependentSequence({i: [1, 0] * 4 for i in range(1, n + 1)})
 
 
 def fold_and_oracle(rep, max_len):
@@ -179,6 +218,114 @@ class TestFoldMatchesEnumeration:
             assert residual_norm(folded - enumerated) <= 1e-12, case
 
 
+def zeta_inverse_all(m):
+    """All of P(m) and the inverse of its zeta matrix, by exact Gauss-Jordan
+    elimination: entry [a][b] is mu_P(parts[a], parts[b])."""
+    parts = list(enumerate_all(m))
+    size = len(parts)
+    aug = [[Fraction(int(leq(p, q))) for q in parts] + [Fraction(int(r == c)) for c in range(size)]
+           for r, p in enumerate(parts)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return parts, [row[size:] for row in aug]
+
+
+class TestMobiusOfAllPartitions:
+    def test_against_zeta_inversion(self):
+        for m in range(1, 6):
+            parts, inverse = zeta_inverse_all(m)
+            for a, pi in enumerate(parts):
+                for b, sigma in enumerate(parts):
+                    if leq(pi, sigma):
+                        assert _mobius_p(pi, sigma) == inverse[a][b], (pi, sigma)
+                    else:
+                        assert inverse[a][b] == 0, (pi, sigma)
+
+    def test_kernel_classes(self):
+        # the classes are the partitions with at most n blocks, each with a
+        # tuple of its kernel in [n]^m and its column of the inverse zeta
+        # matrix of all of P(m), cut to the classes
+        for m in range(1, 6):
+            parts, inverse = zeta_inverse_all(m)
+            for n in range(1, m + 1):
+                classes = _kernel_classes(m, n)
+                where = [parts.index(sigma) for sigma, _, _, _ in classes]
+                assert [parts[b] for b in where] == [p for p in parts if p.size() <= n]
+                for (sigma, tup, terms, plan), b in zip(classes, where):
+                    assert kernel(tup) == sigma and max(tup) <= n
+                    assert (plan is None) == (not sigma.is_noncrossing())
+                    column = {a: inverse[where[a]][b] for a in range(len(classes))
+                              if inverse[where[a]][b] != 0}
+                    assert dict(terms) == column, sigma
+
+
+class TestEngineMatchesTupleSum:
+    """``_lhs`` against the plain sum over [n]^m: exactly on the permutation
+    and classical-point representations, to 1e-12 on the float ones."""
+
+    @staticmethod
+    def assert_exact(defects):
+        for word, defect in defects:
+            assert all(x == 0 for x in defect.flat), word
+
+    @staticmethod
+    def assert_close(defects):
+        for word, defect in defects:
+            assert max(abs(x) for x in defect.flat) <= 1e-12, word
+
+    def test_criterion_7_words(self):
+        proj = projection_perm_rep(0.8)
+        extended = quantum_extension(two_projection_rep(0.8))
+        for law in (semicircular_law(), random_matrix_law(2, 2, SEED + 3)):
+            seq = FreeSequence(law, CACHE)
+            self.assert_close(engine_defects(seq, proj, suite_words(law, 2, 4)))
+            self.assert_close(engine_defects(seq, extended, suite_words(law, 4, 4)))
+        words = suite_words(semicircular_law(), 2, 2)
+        self.assert_close(engine_defects(_broken_sequence(2), proj, words))
+
+    def test_criterion_8_words(self):
+        law = semicircular_law()
+        seq = FreeSequence(law, CACHE)
+        rect = two_projection_rep(0.9)
+        self.assert_close(engine_defects(seq, rect, suite_words(law, 2, 4)))
+        block = build_block_rep(2, 2, dim=2, seed=SEED + 4)
+        self.assert_close(engine_defects(seq, block, suite_words(law, 2, 3)))
+        self.assert_close(engine_defects(seq, quantum_extension(rect), suite_words(law, 2, 4)))
+        self.assert_close(engine_defects(_broken_sequence(4), rect, suite_words(law, 2, 2)))
+
+    def test_bvalued_suite_words(self):
+        cfg, seed = DEFAULT_CONFIG["bvalued"], DEFAULT_CONFIG["seed"]
+        law = random_matrix_law(cfg["d"], cfg["D"], seed + 8)
+        words = random_insert_words(law, 2, cfg["max_word_len"], seed=seed + 9)
+        words += [Word.plain(law, (1,) * m) for m in range(1, cfg["max_word_len"] + 1)]
+        self.assert_close(engine_defects(FreeSequence(law, CACHE), two_projection_rep(cfg["theta"]),
+                                         words, bvalued=True))
+
+    def test_permutation_reps_exact(self):
+        law = semicircular_law()
+        for perm in itertools.permutations(range(1, 4)):
+            rep = permutation_rep(perm)
+            for seq in (FreeSequence(law, CACHE), bernoulli_iid(3), _broken_sequence(3)):
+                self.assert_exact(engine_defects(seq, rep, suite_words(law, 3, 3)))
+
+    def test_classical_point_reps_exact(self):
+        law = semicircular_law()
+        matrix_law = random_rational_matrix_law(2, 2, seed=SEED)
+        insert_words = random_insert_words(matrix_law, 2, 3, seed=SEED + 1)
+        for l in enumerate_increasing(2, 4):
+            rep = classical_point_rep(l)
+            for seq in (FreeSequence(law, CACHE), bernoulli_iid(), _broken_sequence(4)):
+                self.assert_exact(engine_defects(seq, rep, suite_words(law, 2, 3)))
+            self.assert_exact(engine_defects(FreeSequence(matrix_law, CACHE), rep,
+                                             insert_words, bvalued=True))
+
+
 class TestExchangeable:
     def test_classical_points_reduce_to_classical_exchangeability(self):
         seq = FreeSequence(semicircular_law(), CACHE)
@@ -207,6 +354,35 @@ class TestExchangeable:
         assert not report.passed
         assert report.witness is not None
         assert float(report.max_residual) > 0.05
+
+    def test_classical_iid_fails_only_the_quantum_rep(self):
+        # The same law in every index makes the model classical i.i.d. and
+        # kernel-invariant.  It is classically exchangeable, so every
+        # permutation rep passes exactly.  It is not free, so the quantum rep
+        # fails: the coefficient g of the crossing class {1,3}{2,4}, where
+        # free and classical cumulants first differ, is not zero.
+        law = semicircular_law()
+        seq = bernoulli_iid()
+        assert seq.kernel_invariant and not _broken_sequence(4).kernel_invariant
+        for perm in itertools.permutations(range(1, 4)):
+            report = check_exchangeable(seq, permutation_rep(perm), suite_words(law, 3, 4),
+                                        tolerance=0)
+            assert report.max_residual == EXACT_ZERO, perm
+        rep = quantum_extension(two_projection_rep(0.8))
+        report = check_exchangeable(seq, rep, suite_words(law, 4, 4), tolerance=1e-9)
+        assert not report.passed
+        assert report.witness == ["word", [1, 2, 1, 4], [1, 1, 1, 1]]
+        word = Word.plain(law, (1, 2, 1, 4))
+        for model, crossing in ((seq, [Partition(4, [(1, 3), (2, 4)])]),
+                                (FreeSequence(law, CACHE), [])):
+            memo = {"g": {}, "classes": {}, "fold": {}}
+            _lhs(model, rep, word, model.phi_moment, operator.mul, _rows_for(rep), memo)
+            classes = memo["g"][(word.powers, id(word.inserts))]  # those with g != 0
+            assert [sigma for sigma, plan, _ in classes if plan is None] == crossing
+        plain = tuple_sum_lhs(seq, rep, word, seq.phi_moment, operator.mul)
+        plain_residual = residual_norm(plain - seq.phi_moment(word) * rep.unit())
+        assert abs(report.max_residual - plain_residual) <= 1e-12
+        assert abs(report.max_residual - 0.4995736939486883) <= 1e-12
 
     def test_equivariance_under_conjugation(self):
         seq = FreeSequence(semicircular_law(), CACHE)

@@ -12,7 +12,6 @@ from qspread.partitions import (
     catalan,
     enumerate_all,
     enumerate_nc,
-    is_noncrossing,
     join,
     kernel,
     leq,
@@ -88,7 +87,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("m,count", [(4, 14), (6, 132)])
     def test_counts_match_filtered_full_enumeration(self, m, count):
-        full = [p for p in enumerate_all(m) if is_noncrossing(p)]
+        full = [p for p in enumerate_all(m) if p.is_noncrossing()]
         nc = enumerate_nc(m)
         assert len(nc) == count == len(full)
         assert set(nc) == set(full)
@@ -106,15 +105,15 @@ class TestEnumeration:
 
 class TestNoncrossing:
     def test_minimal_crossing(self):
-        assert not is_noncrossing(Partition(4, [[1, 3], [2, 4]]))
+        assert not Partition(4, [[1, 3], [2, 4]]).is_noncrossing()
 
     def test_nested_pairing(self):
-        assert is_noncrossing(Partition(4, [[1, 4], [2, 3]]))
+        assert Partition(4, [[1, 4], [2, 3]]).is_noncrossing()
 
     def test_scan_agrees_with_recursive_peeling(self):
         for m in range(0, 7):
             for p in enumerate_all(m):
-                assert is_noncrossing(p) == noncrossing_by_peeling(p)
+                assert p.is_noncrossing() == noncrossing_by_peeling(p)
 
 
 class TestOrder:
@@ -167,7 +166,7 @@ class TestMeet:
         elems = enumerate_nc(6)
         for p in elems:
             for q in elems:
-                assert is_noncrossing(meet(p, q))
+                assert meet(p, q).is_noncrossing()
 
     def test_join_upper_bound(self):
         elems = enumerate_nc(4)
