@@ -36,16 +36,17 @@ from .partitions import (
 )
 from .qis import Representation, check_increasing_relations, enumerate_increasing
 from .qperm import check_magic_unitary
-from .reports import CheckReport, ResidualTracker
+from .reports import CheckReport, ResidualTracker, require_within
 
 DEFAULT_INVARIANCE_TOLERANCE = 1e-9
+# Work budget of check_kernel_sums: the columns k of the family and the word
+# length, each bounded as the kernel_sums config caps bound them.
+KERNEL_SUMS_CAPS = {"k": 5, "max_len": 6}
 
 
 def _require_valid(rep: Representation, tolerance: float) -> None:
-    if rep.kind == "permutation":
-        report = check_magic_unitary(rep, tolerance=max(tolerance, rep.tolerance))
-    else:
-        report = check_increasing_relations(rep, tolerance=max(tolerance, rep.tolerance))
+    check = check_magic_unitary if rep.kind == "permutation" else check_increasing_relations
+    report = check(rep, tolerance=max(tolerance, rep.tolerance))
     if not report.passed:
         raise ValueError(
             f"representation fails its defining relations: residual {report.max_residual}"
@@ -171,7 +172,8 @@ def check_kernel_sums(
     seed: int | None = None,
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
-    all target tuples of length up to ``max_len``."""
+    all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS."""
+    require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
     _require_valid(rep, tolerance)
     cache = cache or default_cache()
     tracker = ResidualTracker(

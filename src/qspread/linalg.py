@@ -1,9 +1,12 @@
 """Dense small-matrix helpers over complex floats or exact rationals.
 
 Matrices are plain numpy arrays.  The float backend uses ``complex128``; the
-exact backend uses ``dtype=object`` arrays filled with ``fractions.Fraction``
-(all the arithmetic we need -- matmul, kron, conjugation, partial traces --
-works elementwise on Fraction objects).
+exact backend uses ``dtype=object`` arrays of Python ints and
+``fractions.Fraction`` (all the arithmetic we need -- matmul, kron,
+conjugation, partial traces -- works elementwise on them).  Ints embed in the
+rationals, so 0/1 families and the exact units stay ints, and a Fraction
+appears only where the data has a denominator.  Exact entries are scaled by
+``Fraction(1, n)``, never divided with ``/``, which would give a float.
 
 The ambient algebra is the full (d*D) x (d*D) matrix algebra; the
 distinguished subalgebra B is the d x d matrices embedded as b -> b (x) 1_D,
@@ -36,14 +39,15 @@ def rational_matrix(entries) -> np.ndarray:
 
 
 def rational_eye(n: int) -> np.ndarray:
-    out = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        out[i, i] = Fraction(1)
+    """Exact identity, of Python ints."""
+    out = rational_zeros(n)
+    np.fill_diagonal(out, 1)
     return out
 
 
 def rational_zeros(n: int, m: int | None = None) -> np.ndarray:
-    return np.full((n, m if m is not None else n), Fraction(0), dtype=object)
+    """Exact zero matrix, of Python ints."""
+    return np.zeros((n, m if m is not None else n), dtype=object)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -56,12 +60,14 @@ def residual_norm(a: np.ndarray):
 
     The spectral norm is unitarily invariant, so representation checks give
     the same residual after conjugating a family by a fixed unitary.  On the
-    exact backend the value is a Fraction, only ever compared against 0.
+    exact backend the value is an int or a Fraction, only ever compared
+    against 0.  A zero defect, the common case, returns at once: the shared
+    Fraction zero, or 0.0 without an SVD (a NaN entry is truthy, so it still
+    reaches the norm).
     """
     if is_exact(a):
-        # a zero defect, the common case, skips the Fraction arithmetic
         return max(abs(x) for x in a.flat) if any(a.flat) else _ZERO
-    if a.size == 0:
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 

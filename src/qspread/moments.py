@@ -267,9 +267,9 @@ def moment_cumulant_roundtrip(
     inserts = tuple(law.random_element(rng) for _ in range(m + 1))
     word = Word((1,) * m, inserts, tuple(powers) if powers else (1,) * m)
     direct = sandwiched_moment(law, word.inserts, word.powers)
-    total = law.zero()
+    total, moments = law.zero(), {}
     for part in cache.nc(m):
-        total = total + partition_cumulant(law, part, word, cache)
+        total = total + partition_cumulant(law, part, word, cache, moments)
     gap = law.residual(direct, total)
     return gap == 0 if law.exact else gap <= tolerance
 
@@ -279,14 +279,17 @@ def free_iid_moment(law, word: Word, cache: MobiusCache | None = None):
 
     Sum of partitioned cumulants over non-crossing partitions below the
     kernel of the index tuple; this is what defines the joint distribution
-    of the sequence throughout the package.  Each finer partition's moment
-    is computed once per call.
+    of the sequence throughout the package.  At a non-crossing kernel the
+    sum covers [0, ker] in NC(m), so it is the nested moment of the kernel.
     """
     cache = cache or default_cache()
     single = word.with_indices((1,) * word.length)
+    ker = kernel(word.indices)
+    if ker.is_noncrossing():
+        return partition_moment(law, ker, single)
     moments: dict = {}
     total = law.zero()
-    for part in cache.below(kernel(word.indices)):
+    for part in cache.below(ker):
         total = total + partition_cumulant(law, part, single, cache, moments)
     return total
 

@@ -376,26 +376,25 @@ def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Parti
 
 def zeta_inverse_table(
     m: int, cache: MobiusCache | None = None
-) -> dict[tuple[Partition, Partition], Fraction]:
+) -> dict[tuple[Partition, Partition], int | Fraction]:
     """Invert the zeta matrix of NC(m) by exact Gauss-Jordan elimination.
 
-    Brute-force oracle for the full Mobius table; O(|NC(m)|^3) Fraction
-    operations, intended for small m only.  The zeta matrix is the order
-    matrix of ``MobiusCache.order``.
+    Brute-force oracle for the full Mobius table; O(|NC(m)|^3) exact
+    operations, intended for small m only.  The zeta matrix is the 0/1 order
+    matrix of ``MobiusCache.order``, held as ints: a pivot of 1 needs no
+    scaling, and a Fraction would appear only at another pivot.
     """
     cache = cache or _DEFAULT_CACHE
     elems, order = cache.nc(m), cache.order(m).tolist()
     size = len(elems)
-    aug = [
-        [Fraction(int(v)) for v in order[r]]
-        + [Fraction(1 if r == c else 0) for c in range(size)]
-        for r in range(size)
-    ]
+    aug = [[int(v) for v in order[r]] + [int(r == c) for c in range(size)]
+           for r in range(size)]
     for col in range(size):
         pivot = next(r for r in range(col, size) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        if aug[col][col] != 1:
+            inv = Fraction(1, aug[col][col])
+            aug[col] = [v * inv for v in aug[col]]
         for r in range(size):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]

@@ -12,10 +12,11 @@ Zero generators are stored explicitly so residual checks are uniform.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,7 +139,7 @@ class Representation:
 def classical_point_rep(l: IncreasingSequence) -> Representation:
     """Exact 1x1 representation: each generator is the coordinate at l."""
     gens = {
-        (i, j): np.array([[Fraction(classical_coordinate(l, i, j))]], dtype=object)
+        (i, j): np.array([[classical_coordinate(l, i, j)]], dtype=object)
         for i in range(1, l.n + 1)
         for j in range(1, l.k + 1)
     }
@@ -179,6 +180,37 @@ def build_block_rep(k: int, n: int, dim: int, seed: int) -> Representation:
     return Representation(kind="increasing", k=k, n=k * n, gens=gens, dim=dim, seed=seed)
 
 
+def _relations_report(rep: Representation, name: str, tolerance, seed, params: dict,
+                      groups, products) -> CheckReport:
+    """The report of a relation check on ``rep``.  For each (keys, sums) of
+    ``groups`` in turn it tracks the projection and self-adjoint residuals of
+    the generators at ``keys``, then the residual from the unit of the sum
+    over each (label, keys) of ``sums``: all defining.  Then each (label,
+    keys, defining) that ``products`` yields tracks the norm of the product
+    of the generators at ``keys``, as a defining or a derived residual."""
+    tracker = ResidualTracker(name, rep.tolerance if tolerance is None else tolerance,
+                              params=params, seed=rep.seed if seed is None else seed)
+    worst = {True: 0, False: 0}  # defining, derived
+    for keys, sums in groups:
+        for i, j in keys:
+            g = rep.gen(i, j)
+            r_proj = residual_norm(g @ g - g)
+            r_adj = residual_norm(dagger(g) - g)
+            tracker.add(("projection", i, j), r_proj)
+            tracker.add(("self-adjoint", i, j), r_adj)
+            worst[True] = max(worst[True], r_proj, r_adj)
+        for label, terms in sums:
+            r_sum = residual_norm(sum((rep.gen(*key) for key in terms), rep.zero()) - rep.unit())
+            tracker.add(label, r_sum)
+            worst[True] = max(worst[True], r_sum)
+    for label, terms, defining in products:
+        r = residual_norm(functools.reduce(operator.matmul, (rep.gen(*key) for key in terms)))
+        tracker.add(label, r)
+        worst[defining] = max(worst[defining], r)
+    return tracker.report(extra_params={"defining_residual": float(worst[True]),
+                                        "derived_residual": float(worst[False])})
+
+
 def check_increasing_relations(
     rep: Representation, tolerance: float | None = None, seed: int | None = None
 ) -> CheckReport:
@@ -193,53 +225,24 @@ def check_increasing_relations(
     """
     if rep.kind != "increasing":
         raise ValueError("expected an increasing-sequence representation")
-    tol = rep.tolerance if tolerance is None else tolerance
-    tracker = ResidualTracker(
-        "increasing_relations",
-        tol,
-        params={"k": rep.k, "n": rep.n, "dim": rep.dim},
-        seed=seed if seed is not None else rep.seed,
-    )
-    one = rep.unit()
-    defining = 0
-    derived = 0
-    for j in range(1, rep.k + 1):
-        column_sum = rep.zero()
-        for i in range(1, rep.n + 1):
-            g = rep.gen(i, j)
-            r_proj = residual_norm(g @ g - g)
-            r_adj = residual_norm(dagger(g) - g)
-            tracker.add(("projection", i, j), r_proj)
-            tracker.add(("self-adjoint", i, j), r_adj)
-            defining = max(defining, r_proj, r_adj)
-            column_sum = column_sum + g
-        r_col = residual_norm(column_sum - one)
-        tracker.add(("column-sum", j), r_col)
-        defining = max(defining, r_col)
-    for j in range(1, rep.k + 1):
-        for jp in range(j, rep.k + 1):
-            for i in range(1, rep.n + 1):
-                for ip in range(1, rep.n + 1):
-                    if j < jp and i >= ip:
-                        r = residual_norm(rep.gen(i, j) @ rep.gen(ip, jp))
-                        tracker.add(("increasing", i, j, ip, jp), r)
-                        defining = max(defining, r)
-                    elif ip - i < jp - j:
-                        r = residual_norm(rep.gen(i, j) @ rep.gen(ip, jp))
-                        tracker.add(("derived-orthogonality", i, j, ip, jp), r)
-                        derived = max(derived, r)
-    for j in range(1, rep.k + 1):
-        for i in range(1, rep.n + 1):
-            if not j <= i <= rep.n - rep.k + j:
-                r = residual_norm(rep.gen(i, j))
-                tracker.add(("derived-zero-band", i, j), r)
-                derived = max(derived, r)
-    return tracker.report(
-        extra_params={
-            "defining_residual": float(defining),
-            "derived_residual": float(derived),
-        }
-    )
+    cols, rows = range(1, rep.k + 1), range(1, rep.n + 1)
+    groups = [([(i, j) for i in rows], [(("column-sum", j), [(i, j) for i in rows])])
+              for j in cols]
+
+    def products():
+        for j, jp in itertools.combinations_with_replacement(cols, 2):
+            for i, ip in itertools.product(rows, rows):
+                if j < jp and i >= ip:
+                    yield ("increasing", i, j, ip, jp), [(i, j), (ip, jp)], True
+                elif ip - i < jp - j:
+                    yield ("derived-orthogonality", i, j, ip, jp), [(i, j), (ip, jp)], False
+        for j in cols:
+            for i in rows:
+                if not j <= i <= rep.n - rep.k + j:
+                    yield ("derived-zero-band", i, j), [(i, j)], False
+
+    return _relations_report(rep, "increasing_relations", tolerance, seed,
+                             {"k": rep.k, "n": rep.n, "dim": rep.dim}, groups, products())
 
 
 def extend_to_permutation(l: IncreasingSequence) -> tuple[int, ...]:

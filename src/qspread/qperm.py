@@ -8,13 +8,12 @@ v_{kj}; the counit corresponds to the identity permutation representation.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 
 import numpy as np
 
-from .linalg import dagger, residual_norm
-from .qis import Representation
-from .reports import CheckReport, ResidualTracker
+from .qis import Representation, _relations_report
+from .reports import CheckReport
 
 
 def permutation_rep(perm: tuple[int, ...]) -> Representation:
@@ -24,7 +23,7 @@ def permutation_rep(perm: tuple[int, ...]) -> Representation:
     if sorted(perm) != list(range(1, n + 1)):
         raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
     gens = {
-        (i, j): np.array([[Fraction(1 if perm[j - 1] == i else 0)]], dtype=object)
+        (i, j): np.array([[int(perm[j - 1] == i)]], dtype=object)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     }
@@ -50,49 +49,20 @@ def check_magic_unitary(
     """
     if rep.kind != "permutation":
         raise ValueError("expected a permutation-kind representation")
-    n = rep.n
-    tol = rep.tolerance if tolerance is None else tolerance
-    tracker = ResidualTracker(
-        "magic_unitary", tol, params={"n": n, "dim": rep.dim},
-        seed=seed if seed is not None else rep.seed,
-    )
-    one = rep.unit()
-    defining = 0
-    derived = 0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            g = rep.gen(i, j)
-            r_proj = residual_norm(g @ g - g)
-            r_adj = residual_norm(dagger(g) - g)
-            tracker.add(("projection", i, j), r_proj)
-            tracker.add(("self-adjoint", i, j), r_adj)
-            defining = max(defining, r_proj, r_adj)
-    for i in range(1, n + 1):
-        row = rep.zero()
-        col = rep.zero()
-        for t in range(1, n + 1):
-            row = row + rep.gen(i, t)
-            col = col + rep.gen(t, i)
-        r_row = residual_norm(row - one)
-        r_col = residual_norm(col - one)
-        tracker.add(("row-sum", i), r_row)
-        tracker.add(("column-sum", i), r_col)
-        defining = max(defining, r_row, r_col)
-    for i in range(1, n + 1):
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a != b:
-                    r1 = residual_norm(rep.gen(i, a) @ rep.gen(i, b))
-                    r2 = residual_norm(rep.gen(a, i) @ rep.gen(b, i))
-                    tracker.add(("row-orthogonality", i, a, b), r1)
-                    tracker.add(("column-orthogonality", a, b, i), r2)
-                    derived = max(derived, r1, r2)
-    return tracker.report(
-        extra_params={
-            "defining_residual": float(defining),
-            "derived_residual": float(derived),
-        }
-    )
+    span = range(1, rep.n + 1)
+    sums = []
+    for i in span:
+        sums += [(("row-sum", i), [(i, t) for t in span]),
+                 (("column-sum", i), [(t, i) for t in span])]
+
+    def products():
+        for i, a, b in itertools.product(span, repeat=3):
+            if a != b:
+                yield ("row-orthogonality", i, a, b), [(i, a), (i, b)], False
+                yield ("column-orthogonality", a, b, i), [(a, i), (b, i)], False
+
+    return _relations_report(rep, "magic_unitary", tolerance, seed, {"n": rep.n, "dim": rep.dim},
+                             [(itertools.product(span, span), sums)], products())
 
 
 def convolution(rep_u: Representation, rep_v: Representation) -> Representation:

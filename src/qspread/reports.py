@@ -131,6 +131,14 @@ def _as_jsonable(witness):
     return repr(witness)
 
 
+def require_within(check: str, sizes: dict, caps: dict) -> None:
+    """Raise ValueError naming the first of ``sizes`` above its cap in ``caps``
+    (a work budget of ``check``)."""
+    for key, cap in caps.items():
+        if sizes[key] > cap:
+            raise ValueError(f"{check} needs {key} <= {cap} (work budget), got {sizes[key]}")
+
+
 def error_report(check_name: str, params: dict, message: str,
                  seed: int | None = None) -> CheckReport:
     return CheckReport(

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .invariance import (
+    KERNEL_SUMS_CAPS,
     check_bvalued_spreadable,
     check_exchangeable,
     check_kernel_sums,
@@ -54,8 +55,11 @@ from .qis import (
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .reports import CheckReport, ResidualTracker, error_report
 from .weingarten import (
+    ORACLE_CAPS,
+    POSITIVITY_CAPS,
     combinatorial_unit_identity,
     finite_n_reconstruction,
+    gram_size,
     oracle_equivalence_sweep,
     state_positivity_evidence,
 )
@@ -106,25 +110,22 @@ NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
 # positivity 19 s; one step above, every key run exceeded its budget
 # (unit_n_max, cheap since the unit identity is grouped by kernel, was not
 # run above 256).
+# The kernel_sums, psi and positivity caps are the direct-call budgets of
+# their checks, read from there; m_max bounds the sweep over all n! reps.
 WORK_CAPS = {
     "nc": NC_M_CAPS,
-    "kernel_sums": {"n_max": 5, "m_max": 5, "quantum_m_max": 6},
+    "kernel_sums": {"n_max": KERNEL_SUMS_CAPS["k"], "m_max": 5,
+                    "quantum_m_max": KERNEL_SUMS_CAPS["max_len"]},
     "exchangeable": {"max_word_len": 8, "extended_word_len": 7, "spot_length": 9},
     "spreadable": {"max_word_len": 7},
     "bvalued": {"max_word_len": 6},
-    "psi": {"k_max": 10, "n_max": 10, "m_max": 6},
+    "psi": ORACLE_CAPS,
     "reconstruction": {"m_max": 6, "n_max": 32, "unit_m_max": 6, "unit_n_max": 256},
-    "positivity": {"max_len": 4},
+    "positivity": {"max_len": POSITIVITY_CAPS["max_len"]},
 }
 # Side of the positivity Gram matrix: 341 at the defaults k = n = 2 with the
 # largest max_len, 19 s; the next max_len (1,365) exceeded 120 s.
-GRAM_SIZE_CAP = 341
-
-
-def gram_size(k: int, n: int, max_len: int) -> int:
-    """Side of the positivity check's Gram matrix: the number of words of
-    length 0..max_len over k*n letters."""
-    return sum((k * n) ** length for length in range(max_len + 1))
+GRAM_SIZE_CAP = POSITIVITY_CAPS["gram_size"]
 
 
 class ConfigError(ValueError):
@@ -184,11 +185,7 @@ def _same_type(value, default) -> bool:
 
 
 def _parse_scalar(value):
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
+    return Fraction(value) if isinstance(value, (str, int)) else value
 
 
 def build_law(spec: dict, seed: int):
@@ -312,6 +309,20 @@ def _angles(count: int, seed: int) -> list[float]:
     return [float(t) for t in rng.uniform(0.05, np.pi / 2 - 0.05, size=count)]
 
 
+def classical_relations_case(l) -> int:
+    """0 when the classical point of ``l`` passes its relations exactly, else 1."""
+    report = check_increasing_relations(classical_point_rep(l), tolerance=0)
+    return 0 if report.max_residual == "exact-zero" else 1
+
+
+def classical_extension_case(l) -> int:
+    """The largest entry gap between the extension of the classical point of
+    ``l`` and the permutation matrix of ``extend_to_permutation(l)``."""
+    extended = quantum_extension(classical_point_rep(l), tolerance=0)
+    expected = permutation_rep(extend_to_permutation(l))
+    return max(abs(extended.gens[key][0, 0] - expected.gens[key][0, 0]) for key in expected.gens)
+
+
 def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     cfg = config["relations"]
     tol = config["tolerances"]["relations"]
@@ -335,9 +346,7 @@ def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     for n in range(1, cfg["classical_n_max"] + 1):
         for k in range(1, n + 1):
             for l in enumerate_increasing(k, n):
-                report = check_increasing_relations(classical_point_rep(l), tolerance=0)
-                tracker.add(("point", k, n, list(l.values)),
-                            0 if report.max_residual == "exact-zero" else 1)
+                tracker.add(("point", k, n, list(l.values)), classical_relations_case(l))
     reports.append(tracker.report())
 
     block = cfg["block"]
@@ -362,13 +371,7 @@ def extension_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     for n in range(1, cfg["classical_n_max"] + 1):
         for k in range(1, n + 1):
             for l in enumerate_increasing(k, n):
-                extended = quantum_extension(classical_point_rep(l), tolerance=0)
-                expected = permutation_rep(extend_to_permutation(l))
-                worst = max(
-                    abs(extended.gens[key][0, 0] - expected.gens[key][0, 0])
-                    for key in expected.gens
-                )
-                tracker.add(("point", k, n, list(l.values)), worst)
+                tracker.add(("point", k, n, list(l.values)), classical_extension_case(l))
     reports.append(tracker.report())
 
     tracker = ResidualTracker(
@@ -550,14 +553,13 @@ def bvalued_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
 def psi_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     cfg = config["psi"]
     pos = config["positivity"]
-    reports = [
+    return [
         oracle_equivalence_sweep(cfg["k_max"], cfg["n_max"], cfg["m_max"], cache,
                                  seed=config["seed"]),
         state_positivity_evidence(pos["k"], pos["n"], pos["max_len"],
                                   tolerance=config["tolerances"]["positivity"],
                                   cache=cache, seed=config["seed"]),
     ]
-    return reports
 
 
 def _kernel_pattern_tuples(m: int) -> list[tuple[int, ...]]:

@@ -43,7 +43,11 @@ from .partitions import (
     leq,
     meet,
 )
-from .reports import CheckReport, ResidualTracker
+from .reports import CheckReport, ResidualTracker, require_within
+
+# Work budgets of the oracle sweep and the positivity check (see suites.WORK_CAPS).
+ORACLE_CAPS = {"k_max": 10, "n_max": 10, "m_max": 6}
+POSITIVITY_CAPS = {"max_len": 4, "gram_size": 341}
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,9 @@ def oracle_equivalence_sweep(
 ) -> CheckReport:
     """Exact agreement of the closed form with the freeness oracle on every
     in-band query with k <= k_max, n <= n_max, m <= m_max, plus the off-band
-    zero pattern on small sizes."""
+    zero pattern on small sizes, within ORACLE_CAPS."""
+    require_within("oracle_equivalence_sweep",
+                   {"k_max": k_max, "n_max": n_max, "m_max": m_max}, ORACLE_CAPS)
     cache = cache or default_cache()
     tracker = ResidualTracker(
         "state_oracle_equivalence",
@@ -253,6 +259,12 @@ def oracle_equivalence_sweep(
     return tracker.report()
 
 
+def gram_size(k: int, n: int, max_len: int) -> int:
+    """Side of the positivity check's Gram matrix: the number of words of
+    length 0..max_len over k*n letters."""
+    return sum((k * n) ** length for length in range(max_len + 1))
+
+
 def state_positivity_evidence(
     k: int, n: int, max_len: int = 2, tolerance: float = 1e-10,
     cache: MobiusCache | None = None, seed: int | None = None,
@@ -261,8 +273,11 @@ def state_positivity_evidence(
     in-band words up to max_len.
 
     Numerical evidence that the functional is a state, not a proof; reports
-    carry an explicit evidence flag.
+    carry an explicit evidence flag.  Sizes stay within POSITIVITY_CAPS.
     """
+    require_within("state_positivity_evidence",
+                   {"max_len": max_len, "gram_size": gram_size(k, n, max_len)},
+                   POSITIVITY_CAPS)
     cache = cache or default_cache()
     letters = [
         ((j - 1) * n + i, j) for j in range(1, k + 1) for i in range(1, n + 1)

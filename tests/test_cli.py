@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from qspread.cli import main
+from qspread import cli
+from qspread.cli import REP_FILE_BYTES_MAX, main
+from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
+from qspread.qperm import permutation_rep
 from qspread.suites import (
     DEFAULT_CONFIG,
     GRAM_SIZE_CAP,
@@ -14,6 +17,12 @@ from qspread.suites import (
     ConfigError,
     gram_size,
     merge_config,
+)
+from qspread.weingarten import (
+    ORACLE_CAPS,
+    POSITIVITY_CAPS,
+    oracle_equivalence_sweep,
+    state_positivity_evidence,
 )
 
 TRIMMED = {
@@ -180,6 +189,31 @@ class TestMalformedRepFile:
         code, err = self.run_with(tmp_path, capsys, document)
         assert code == 2
         assert err.startswith("error:") and "'3,7'" in err
+
+    def test_file_over_the_size_budget_is_2_before_decoding(self, tmp_path, capsys,
+                                                             monkeypatch):
+        document = json.dumps(self.identity_family())
+        path = tmp_path / "rep.json"
+        path.write_text(document)
+        monkeypatch.setattr(cli, "REP_FILE_BYTES_MAX", len(document))
+        assert main(["qperm", "magic", "--rep", str(path)]) == 0  # at the budget
+        capsys.readouterr()
+        path.write_text(document + " ")
+
+        def no_decoding(text):
+            raise AssertionError("decoded a file over the size budget")
+
+        monkeypatch.setattr(cli, "rep_from_json", no_decoding)
+        assert main(["qperm", "magic", "--rep", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "Traceback" not in out.err
+        assert out.err.startswith("error:") and f"size budget of {len(document)} bytes" in out.err
+
+    def test_file_over_the_shipped_budget_is_2(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_bytes(b" " * (REP_FILE_BYTES_MAX + 1))
+        assert main(["qperm", "magic", "--rep", str(path)]) == 2
+        assert f"size budget of {REP_FILE_BYTES_MAX} bytes" in capsys.readouterr().err
 
 
 class TestSuiteAll:
@@ -360,6 +394,48 @@ class TestWorkBudgets:
         with pytest.raises(ConfigError):
             merge_config({"positivity": {"k": GRAM_SIZE_CAP, "n": 1, "max_len": 2}})
         assert gram_size(2, 2, 2) == 1 + 4 + 16
+
+
+class TestDirectCallBudgets:
+    """The checks behind the capped config keys refuse sizes above the same
+    caps when called directly: each size at its cap runs (on the smallest
+    other sizes), one above raises ValueError naming it before any work."""
+
+    def test_config_caps_read_the_direct_call_budgets(self):
+        assert WORK_CAPS["kernel_sums"]["n_max"] == KERNEL_SUMS_CAPS["k"]
+        assert WORK_CAPS["kernel_sums"]["quantum_m_max"] == KERNEL_SUMS_CAPS["max_len"]
+        assert WORK_CAPS["psi"] == ORACLE_CAPS
+        assert WORK_CAPS["positivity"]["max_len"] == POSITIVITY_CAPS["max_len"]
+        assert GRAM_SIZE_CAP == POSITIVITY_CAPS["gram_size"]
+
+    def test_kernel_sums_at_and_over_the_caps(self):
+        k_cap, len_cap = KERNEL_SUMS_CAPS["k"], KERNEL_SUMS_CAPS["max_len"]
+        assert check_kernel_sums(permutation_rep((1,)), len_cap, tolerance=0).passed
+        assert check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 1))), 1,
+                                 tolerance=0).passed
+        with pytest.raises(ValueError, match=f"max_len <= {len_cap}"):
+            check_kernel_sums(permutation_rep((1,)), len_cap + 1, tolerance=0)
+        with pytest.raises(ValueError, match=f"k <= {k_cap}"):
+            check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 2))), 1, tolerance=0)
+
+    def test_oracle_sweep_at_and_over_the_caps(self):
+        for key in ORACLE_CAPS:
+            sizes = {"k_max": 1, "n_max": 1, "m_max": 1, key: ORACLE_CAPS[key]}
+            assert oracle_equivalence_sweep(**sizes).passed, key
+            sizes[key] += 1
+            with pytest.raises(ValueError, match=f"{key} <= {ORACLE_CAPS[key]}"):
+                oracle_equivalence_sweep(**sizes)
+
+    def test_positivity_at_and_over_the_caps(self, monkeypatch):
+        len_cap = POSITIVITY_CAPS["max_len"]
+        assert state_positivity_evidence(1, 1, len_cap).params["gram_size"] == len_cap + 1
+        with pytest.raises(ValueError, match=f"max_len <= {len_cap}"):
+            state_positivity_evidence(1, 1, len_cap + 1)
+        # the Gram side at its cap takes 19 s, so the cap is lowered to a small side
+        monkeypatch.setitem(POSITIVITY_CAPS, "gram_size", gram_size(2, 1, 2))
+        assert state_positivity_evidence(2, 1, 2).passed
+        with pytest.raises(ValueError, match=f"gram_size <= {gram_size(2, 1, 2)}"):
+            state_positivity_evidence(3, 1, 2)
 
 
 class TestNumericalFailures:

@@ -1,9 +1,10 @@
-"""Hypothesis property tests on random classical families: increasing
-sequences with their extension to magic unitaries, and permutations with
-the convolution of their representations.
+"""Hypothesis property tests on random families: increasing sequences with
+their extension to magic unitaries, permutations with the convolution of their
+representations, and seeded banded block families.
 
-Every family here is exact (1x1 Fraction generators), so every relation must
-hold with an exact zero residual, and every comparison is an equality.
+The classical families are exact (1x1 generators of Python ints 0 and 1), so
+every relation must hold with an exact zero residual, and every comparison is
+an equality.  The block families are complex floats and hold to 1e-10.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from qspread.qis import (
     IncreasingSequence,
+    build_block_rep,
     check_increasing_relations,
     classical_point_rep,
     extend_to_permutation,
@@ -29,6 +31,13 @@ def increasing_sequences(draw):
     n = draw(st.integers(1, 7))
     values = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
     return IncreasingSequence(len(values), n, tuple(sorted(values)))
+
+
+@st.composite
+def block_families(draw):
+    """``build_block_rep`` with 1 <= k, n <= 3, n <= dim <= 4 and a random seed."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return build_block_rep(k, n, draw(st.integers(n, 4)), draw(st.integers(0, 2**31)))
 
 
 def permutations_of(n: int):
@@ -79,3 +88,12 @@ class TestConvolutionProperties:
             convolution(permutation_rep(a), permutation_rep(b)), tolerance=0)
         assert report.passed
         assert report.max_residual == EXACT_ZERO
+
+
+class TestBlockFamilyProperties:
+    @PROPERTY_SETTINGS
+    @given(block_families())
+    def test_block_family_passes_its_relations_and_extends_to_magic(self, rep):
+        assert check_increasing_relations(rep, tolerance=1e-10).passed
+        extended = quantum_extension(rep, tolerance=1e-10)
+        assert check_magic_unitary(extended, tolerance=1e-10).passed

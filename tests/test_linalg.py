@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qspread.invariance import check_kernel_sums
 from qspread.linalg import (
     BAlgebra,
     dagger,
@@ -16,8 +19,17 @@ from qspread.linalg import (
     random_unitary,
     rational_eye,
     rational_matrix,
+    rational_zeros,
     residual_norm,
 )
+from qspread.qis import (
+    check_increasing_relations,
+    classical_point_rep,
+    enumerate_increasing,
+    quantum_extension,
+)
+from qspread.qperm import check_magic_unitary, permutation_rep
+from qspread.reports import EXACT_ZERO, ResidualTracker
 
 
 class TestInvolution:
@@ -166,3 +178,77 @@ class TestHelpers:
         alg = BAlgebra(d=1, D=2)
         a = np.array([[2, 0], [0, 4]], dtype=complex)
         assert np.allclose(alg.expect(a), [[3]])
+
+
+class TestZeroDefects:
+    def test_zero_float_defect_skips_the_norm(self, monkeypatch):
+        def no_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm called on a zero defect")
+
+        monkeypatch.setattr(np.linalg, "norm", no_norm)
+        for shape in ((2, 2), (4, 4), (0, 0)):
+            value = residual_norm(np.zeros(shape, dtype=complex))
+            assert value == 0.0 and type(value) is float
+
+    def test_nan_defect_reaches_the_norm_and_fails_its_report(self, monkeypatch):
+        defect = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+        seen = []
+        monkeypatch.setattr(np.linalg, "norm", lambda a, ord=None: seen.append(a) or np.nan)
+        value = residual_norm(defect)
+        assert len(seen) == 1 and math.isnan(value)
+        tracker = ResidualTracker("nan_defect", 1e-9)
+        tracker.add(("case",), value)
+        report = tracker.report()
+        assert not report.passed and report.witness == ["case"]
+
+
+class TestIntegerFamilies:
+    """Classical 0/1 families hold Python ints; a Fraction appears only where
+    the data has a denominator."""
+
+    def test_exact_unit_and_zero_are_ints(self):
+        assert all(type(x) is int for x in rational_eye(3).flat)
+        assert all(type(x) is int for x in rational_zeros(2, 3).flat)
+        assert (rational_eye(3) == np.eye(3)).all() and rational_zeros(2, 3).shape == (2, 3)
+
+    def test_classical_families_give_int_or_fraction_residuals(self, monkeypatch):
+        kinds = set()
+        add = ResidualTracker.add
+
+        def recording(tracker, witness, residual):
+            kinds.add(type(residual))
+            add(tracker, witness, residual)
+
+        monkeypatch.setattr(ResidualTracker, "add", recording)
+        reps = [permutation_rep(p) for p in itertools.permutations((1, 2, 3))]
+        for l in enumerate_increasing(2, 4):
+            point = classical_point_rep(l)
+            assert check_increasing_relations(point, tolerance=0).max_residual == EXACT_ZERO
+            reps.append(quantum_extension(point, tolerance=0))
+        for rep in reps:
+            assert all(type(x) is int for g in rep.gens.values() for x in g.flat)
+            assert check_magic_unitary(rep, tolerance=0).max_residual == EXACT_ZERO
+            assert check_kernel_sums(rep, 3, tolerance=0).max_residual == EXACT_ZERO
+        assert kinds and kinds <= {int, Fraction}
+
+    def test_kernel_sums_on_permutation_reps_do_no_fraction_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        for perm in itertools.permutations((1, 2, 3)):
+            report = check_kernel_sums(permutation_rep(perm), 4, tolerance=0)
+            assert report.max_residual == EXACT_ZERO
+
+    def test_expectations_of_int_input_are_fractions(self):
+        alg = BAlgebra(d=2, D=3, exact=True)
+        a = rational_eye(6)
+        a[0, 3] = 3  # row (1, 1), column (2, 1) of M_2 (x) M_3
+        e = alg.expect(a)
+        assert all(type(x) is Fraction for x in e.flat)
+        assert (e == np.array([[1, 1], [0, 1]])).all()
+        t = alg.trace_state(rational_eye(2))
+        assert type(t) is Fraction and t == 1
+        assert type(alg.trace_state(alg.unit() * 0)) is Fraction

@@ -21,9 +21,22 @@ from qspread.moments import (
     sandwiched_moment,
     semicircular_law,
 )
-from qspread.partitions import MobiusCache, Partition, kernel
+from qspread import moments
+from qspread.partitions import MobiusCache, Partition, enumerate_all, kernel
 
 CACHE = MobiusCache()
+
+
+def cumulant_sum(law, word: Word):
+    """The joint free moment as the sum of partitioned cumulants over NC(m)
+    below the kernel: the slow path that free_iid_moment keeps only for
+    crossing kernels."""
+    single = word.with_indices((1,) * word.length)
+    shared: dict = {}
+    total = law.zero()
+    for part in CACHE.below(kernel(word.indices)):
+        total = total + partition_cumulant(law, part, single, CACHE, shared)
+    return total
 
 
 def random_scalar_law(seed: int, max_order: int = 12) -> ScalarLaw:
@@ -179,6 +192,15 @@ class TestRoundtrip:
         law = random_scalar_law(seed=20 + m)
         assert moment_cumulant_roundtrip(law, m, seed=m, cache=CACHE)
 
+    def test_each_partition_moment_is_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "partition_moment",
+                            lambda *args: calls.append(args[1]) or partition_moment(*args))
+        for m in range(1, 6):
+            calls.clear()
+            assert moment_cumulant_roundtrip(random_scalar_law(seed=m), m, seed=m, cache=CACHE)
+            assert sorted(calls, key=repr) == sorted(CACHE.nc(m), key=repr)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_float_matrix(self, m):
         law = random_matrix_law(2, 2, seed=30 + m)
@@ -248,7 +270,9 @@ class TestFreeIIDMoment:
         assert (free_iid_moment(law, scaled_right, CACHE) == base @ b).all()
 
     def test_shared_moments_are_bit_identical_to_recomputing_them(self):
-        # float backends: the same summation order must give the same bits
+        # float backends: crossing kernels keep the cumulant sum with one
+        # shared moment dict, and the same summation order must give the same
+        # bits; non-crossing kernels take the nested moment, equal to roundoff
         rng = np.random.default_rng(57)
         scalar = ScalarLaw([1.0 + 0j] + [complex(*rng.standard_normal(2)) for _ in range(8)])
         for law in (scalar, random_matrix_law(2, 2, seed=58)):
@@ -260,7 +284,38 @@ class TestFreeIIDMoment:
                     recomputed = law.zero()
                     for part in CACHE.below(kernel(idx)):
                         recomputed = recomputed + partition_cumulant(law, part, single, CACHE)
-                    assert np.array_equal(free_iid_moment(law, word, CACHE), recomputed)
+                    got = free_iid_moment(law, word, CACHE)
+                    if kernel(idx).is_noncrossing():
+                        assert np.max(np.abs(got - recomputed)) <= 1e-12, idx
+                    else:
+                        assert np.array_equal(got, recomputed), idx
+
+    @pytest.mark.parametrize("law", [semicircular_law(), random_rational_matrix_law(2, 2, 59)],
+                             ids=["semicircular", "rational-matrix"])
+    def test_nested_moment_equals_the_cumulant_sum_exactly(self, law):
+        # the cumulant sum, which free_iid_moment skips at non-crossing
+        # kernels, is the oracle: every kernel of P(m), m <= 5, both powers
+        rng = np.random.default_rng(60)
+        for m in range(1, 6):
+            for part in enumerate_all(m):
+                idx = tuple(r + 1 for r in part.rgs)
+                for powers in ((1,) * m, (2,) + (1,) * (m - 1)):
+                    word = Word(idx, tuple(law.random_element(rng) for _ in range(m + 1)),
+                                powers)
+                    assert np.array_equal(free_iid_moment(law, word, CACHE),
+                                          cumulant_sum(law, word)), (idx, powers)
+
+    def test_cumulants_are_summed_only_at_crossing_kernels(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(moments, "partition_cumulant",
+                            lambda *args, **kw: calls.append(args[1]) or partition_cumulant(
+                                *args, **kw))
+        law = semicircular_law()
+        for part in enumerate_all(4):
+            calls.clear()
+            word = Word.plain(law, tuple(r + 1 for r in part.rgs))
+            assert free_iid_moment(law, word, CACHE) == cumulant_sum(law, word)
+            assert bool(calls) == (not part.is_noncrossing()), part
 
     def test_constant_indices_match_direct_eval(self):
         law = random_scalar_law(seed=56)

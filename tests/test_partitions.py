@@ -239,6 +239,7 @@ class TestMobius:
             table = zeta_inverse_table(m, cache)
             for (s, p), value in table.items():
                 assert value == cache.mobius(s, p)
+                assert type(value) is int  # unit pivots: no Fraction arithmetic
 
     def test_zero_one_column_oracle_up_to_m7(self):
         cache = MobiusCache()
