@@ -32,7 +32,7 @@ import numpy as np
 from .linalg import residual_norm
 from .moments import Word
 from .partitions import (
-    MobiusCache, Partition, default_cache, enumerate_all, kernel, kernel_rgs, leq,
+    MobiusCache, Partition, default_cache, enumerate_all, kernel, leq, nesting_plan,
 )
 from .qis import Representation, check_increasing_relations, enumerate_increasing
 from .qperm import check_magic_unitary
@@ -51,35 +51,6 @@ def _require_valid(rep: Representation, tolerance: float) -> None:
         raise ValueError(
             f"representation fails its defining relations: residual {report.max_residual}"
         )
-
-
-def _nesting_plan(part: Partition) -> tuple:
-    """The nesting tree of a non-crossing partition, as the plan of {1..m}.
-
-    The plan of an interval that is a union of blocks lists its outer blocks
-    left to right, each as ``(block, word, shape)``.  The word is the block's
-    positions with the plan of every non-empty gap between two consecutive
-    positions inserted between them; the shape is the RGS of the partition
-    restricted to the span of the block.
-    """
-    if not part.is_noncrossing():
-        raise ValueError(f"{part!r} is crossing; the nesting-tree fold needs "
-                         "a non-crossing partition")
-
-    def plan(lo: int, hi: int) -> tuple:
-        out = []
-        while lo <= hi:
-            block = part.blocks[part.block_index(lo)]
-            word = [block[0]]
-            for a, b in zip(block, block[1:]):
-                if b > a + 1:
-                    word.append(plan(a + 1, b - 1))
-                word.append(b)
-            out.append((block, tuple(word), kernel_rgs(part.rgs[block[0] - 1:block[-1]])))
-            lo = block[-1] + 1
-        return tuple(out)
-
-    return plan(1, part.m)
 
 
 def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
@@ -159,7 +130,7 @@ def kernel_constrained_sum(
         raise ValueError("need a non-empty target tuple of the partition's size")
     if any(not 1 <= j <= rep.k for j in targets):
         raise ValueError(f"targets {targets} exceed the {rep.k} columns of the family")
-    value = _fold(rep.gens, _nesting_plan(part), tuple(targets), _rows_for(rep), {})
+    value = _fold(rep.gens, nesting_plan(part), tuple(targets), _rows_for(rep), {})
     # copied: a fold of one factor is the representation's own generator
     return rep.zero() if value is None else value.copy()
 
@@ -192,7 +163,7 @@ def check_kernel_sums(
         ]
         distinct = {ker.rgs: ker for _, ker in kernels}
         for part in cache.nc(m):
-            plan = _nesting_plan(part)
+            plan = nesting_plan(part)
             blocks = [list(b) for b in part.blocks]
             expected = {rgs: one if leq(part, ker) else zero for rgs, ker in distinct.items()}
             for targets, ker in kernels:
@@ -219,7 +190,7 @@ def _kernel_classes(m: int, n: int) -> list:
     parts = [p for p in enumerate_all(m) if p.size() <= n]
     return [(sigma, tuple(r + 1 for r in sigma.rgs),
              [(a, _mobius_p(pi, sigma)) for a, pi in enumerate(parts) if leq(pi, sigma)],
-             _nesting_plan(sigma) if sigma.is_noncrossing() else None)
+             nesting_plan(sigma) if sigma.is_noncrossing() else None)
             for sigma in parts]
 
 

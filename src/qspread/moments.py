@@ -3,8 +3,9 @@
 A law answers E[b0 x b1 x ... x bs] for inserts b0..bs in B.  From that single
 interface the module builds:
 
-  * partitioned moments, by recursively evaluating interval blocks and
-    splicing the value into the insert on their left;
+  * partitioned moments, by a fold over the nesting tree of the partition
+    (``partitions.nesting_plan``): each block is one law evaluation with its
+    folded gaps as inserts;
   * partitioned cumulants, by Mobius inversion over the non-crossing lattice;
   * joint moments of a free i.i.d. sequence, via the sum of cumulants over
     non-crossing partitions refining the kernel of the index tuple.  This sum
@@ -31,7 +32,7 @@ from .linalg import (
     random_rational_symmetric,
     residual_norm,
 )
-from .partitions import MobiusCache, Partition, default_cache, kernel
+from .partitions import MobiusCache, Partition, default_cache, kernel, nesting_plan
 
 CATALAN_CAP = 64
 
@@ -189,27 +190,17 @@ def sandwiched_moment(law, inserts: Sequence, powers: Sequence[int]):
     return law.eval(flat)
 
 
-def _remove_block(part: Partition, block: tuple[int, ...]) -> Partition:
-    """Drop one block and relabel the rest by position."""
-    remaining = [b for b in part.blocks if b != block]
-    relabel = {x: r + 1 for r, x in enumerate(sorted(x for b in remaining for x in b))}
-    return Partition(part.m - len(block), [[relabel[x] for x in b] for b in remaining])
-
-
-def _peel(law, part: Partition, inserts: list, powers: list):
-    if part.m == 0:
-        return inserts[0]
-    for block in part.blocks:
-        if block[-1] - block[0] == len(block) - 1:
-            lo, hi = block[0], block[-1]  # positions, 1-based
-            inner_inserts = [law.unit(), *inserts[lo:hi], law.unit()]
-            inner_powers = powers[lo - 1 : hi]
-            value = sandwiched_moment(law, inner_inserts, inner_powers)
-            spliced = _bmul(_bmul(inserts[lo - 1], value), inserts[hi])
-            new_inserts = inserts[: lo - 1] + [spliced] + inserts[hi + 1 :]
-            new_powers = powers[: lo - 1] + powers[hi:]
-            return _peel(law, _remove_block(part, block), new_inserts, new_powers)
-    raise ValueError(f"{part!r} has no interval block (crossing partition)")
+def _nest(law, plan: tuple, inserts: Sequence, powers: Sequence[int], value):
+    """``value`` times, for each outer block of ``plan`` left to right, its
+    moment (the insert or the folded gap between consecutive positions, the
+    unit at both ends) and the insert after it."""
+    for block, word, _ in plan:
+        gaps = [_nest(law, x, inserts, powers, inserts[a]) if isinstance(x, tuple)
+                else inserts[a] for a, x in zip(word, word[1:]) if not isinstance(a, tuple)]
+        moment = sandwiched_moment(law, [law.unit(), *gaps, law.unit()],
+                                   [powers[p - 1] for p in block])
+        value = _bmul(_bmul(value, moment), inserts[block[-1]])
+    return value
 
 
 def _require_single_variable(word: Word):
@@ -218,18 +209,15 @@ def _require_single_variable(word: Word):
 
 
 def partition_moment(law, part: Partition, word: Word):
-    """The nested moment functional for a non-crossing partition.
-
-    Interval blocks are evaluated innermost-first through the law and their
-    value is spliced into the insert to their left; the one-block partition
-    reduces to a single law evaluation of the whole word.
-    """
-    if not part.is_noncrossing():
-        raise ValueError(f"{part!r} is crossing")
+    """The nested moment functional for a non-crossing partition, folded over
+    its nesting tree (``nesting_plan`` rejects a crossing one): each block is
+    one law evaluation with its folded gaps as inserts, and outer blocks
+    multiply left to right, each followed by the insert after it."""
+    plan = nesting_plan(part)
     _require_single_variable(word)
     if part.m != word.length:
         raise ValueError("partition and word sizes differ")
-    return _peel(law, part, list(word.inserts), list(word.powers))
+    return _nest(law, plan, word.inserts, word.powers, word.inserts[0])
 
 
 def partition_cumulant(

@@ -6,7 +6,8 @@ increasing minimum.  Equality and hashing are those of the RGS, ``kernel``
 reads an index tuple in one pass, and ``leq`` and ``meet`` are linear scans
 over two RGS.  The blocks (sorted tuples, by increasing minimum) are built on
 first use.  Ground sets are always {1..m}; callers working with other ordered
-sets relabel by position first.
+sets relabel by position first.  ``nesting_plan`` is the one nesting tree that
+nested moments and kernel-constrained sums fold.
 
 ``MobiusCache`` tabulates NC(m) once per size, as an integer RGS array and
 the first element of each block.  sigma <= p iff p's label at the first
@@ -190,6 +191,35 @@ def join(p: Partition, q: Partition) -> Partition:
             for x in block[1:]:
                 parent[find(x)] = find(block[0])
     return Partition._of(kernel_rgs([find(x) for x in range(1, p.m + 1)]))
+
+
+def nesting_plan(part: Partition) -> tuple:
+    """The nesting tree of a non-crossing partition, as the plan of {1..m}.
+
+    The plan of an interval that is a union of blocks lists its outer blocks
+    left to right, each as ``(block, word, shape)``.  The word is the block's
+    positions with the plan of every non-empty gap between two consecutive
+    positions inserted between them; the shape is the RGS of the partition
+    restricted to the span of the block.
+    """
+    if not part.is_noncrossing():
+        raise ValueError(f"{part!r} is crossing; the nesting-tree fold needs "
+                         "a non-crossing partition")
+
+    def plan(lo: int, hi: int) -> tuple:
+        out = []
+        while lo <= hi:
+            block = part.blocks[part.block_index(lo)]
+            word = [block[0]]
+            for a, b in zip(block, block[1:]):
+                if b > a + 1:
+                    word.append(plan(a + 1, b - 1))
+                word.append(b)
+            out.append((block, tuple(word), kernel_rgs(part.rgs[block[0] - 1:block[-1]])))
+            lo = block[-1] + 1
+        return tuple(out)
+
+    return plan(1, part.m)
 
 
 def enumerate_all(m: int) -> Iterator[Partition]:

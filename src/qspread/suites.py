@@ -603,12 +603,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
                 direct = free_iid_moment(law, word, cache)
                 for n in range(1, cfg["n_max"] + 1):
                     got = finite_n_reconstruction(law, word, n, cache)
-                    gap = got - direct
-                    if isinstance(gap, np.ndarray):
-                        residual = max((abs(x) for x in gap.flat), default=Fraction(0))
-                    else:
-                        residual = abs(gap)
-                    tracker.add(("reconstruction", list(cols), n), residual)
+                    tracker.add(("reconstruction", list(cols), n), law.residual(got, direct))
         reports.append(tracker.report())
     return reports
 

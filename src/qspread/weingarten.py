@@ -294,10 +294,11 @@ def state_positivity_evidence(
         return block_state_moment(BlockQuery(k, n, rows, cols), cache)
 
     size = len(words)
-    gram = np.empty((size, size), dtype=float)
+    gram = np.zeros((size, size), dtype=float)
     for a, wa in enumerate(words):
-        for b, wb in enumerate(words):
-            # adjoint of a word of projections reverses the order
+        for b, wb in enumerate(words[:a + 1]):
+            # adjoint of a word of projections reverses the order; eigvalsh
+            # reads only the lower triangle
             gram[a, b] = float(psi(tuple(reversed(wa)) + wb))
     smallest = float(np.linalg.eigvalsh(gram)[0])
     tracker = ResidualTracker(

@@ -8,7 +8,7 @@ import pytest
 from qspread import cli
 from qspread.cli import REP_FILE_BYTES_MAX, main
 from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
-from qspread.qperm import permutation_rep
+from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
     DEFAULT_CONFIG,
     GRAM_SIZE_CAP,
@@ -167,7 +167,7 @@ class TestMalformedRepFile:
     @staticmethod
     def identity_family() -> dict:
         from qspread.qis import rep_to_json_dict
-        from qspread.qperm import permutation_rep
+        from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 
         return rep_to_json_dict(permutation_rep((1, 2)))
 
@@ -436,6 +436,34 @@ class TestDirectCallBudgets:
         assert state_positivity_evidence(2, 1, 2).passed
         with pytest.raises(ValueError, match=f"gram_size <= {gram_size(2, 1, 2)}"):
             state_positivity_evidence(3, 1, 2)
+
+
+    def test_magic_unitary_at_and_over_the_cap(self, monkeypatch):
+        monkeypatch.setitem(MAGIC_CAPS, "n", 3)
+        assert check_magic_unitary(permutation_rep((3, 1, 2))).passed
+        with pytest.raises(ValueError, match="n <= 3"):
+            check_magic_unitary(permutation_rep((1, 2, 3, 4)))
+
+    def test_every_rep_form_over_the_magic_cap_is_2(self, tmp_path, capsys, monkeypatch):
+        from qspread.qis import rep_to_json
+
+        path = tmp_path / "rep.json"
+        path.write_text(rep_to_json(permutation_rep((2, 1, 3))))
+        for cap, spec in ((2, "permutation:2,1,3"), (2, str(path)), (3, "extended:theta=0.7"),
+                          (1, "projection:theta=0.7")):
+            monkeypatch.setitem(MAGIC_CAPS, "n", cap)
+            assert main(["qperm", "magic", "--rep", spec]) == 2, spec
+            out = capsys.readouterr()
+            assert out.out == "" and f"n <= {cap} (work budget)" in out.err, spec
+            monkeypatch.setitem(MAGIC_CAPS, "n", cap + 1)
+            assert main(["qperm", "magic", "--rep", spec]) == 0, spec
+            capsys.readouterr()
+
+    def test_spec_over_the_shipped_magic_cap_is_2(self, capsys):
+        n = MAGIC_CAPS["n"] + 1
+        spec = "permutation:" + ",".join(map(str, range(1, n + 1)))
+        assert main(["qperm", "magic", "--rep", spec]) == 2
+        assert f"n <= {MAGIC_CAPS['n']} (work budget), got {n}" in capsys.readouterr().err
 
 
 class TestNumericalFailures:

@@ -12,7 +12,6 @@ from qspread.invariance import (
     _kernel_classes,
     _lhs,
     _mobius_p,
-    _nesting_plan,
     _rows_for,
     check_bvalued_spreadable,
     check_exchangeable,
@@ -38,7 +37,9 @@ from qspread.moments import (
     random_rational_matrix_law,
     semicircular_law,
 )
-from qspread.partitions import MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, leq
+from qspread.partitions import (
+    MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, leq, nesting_plan,
+)
 from qspread.qis import (
     Representation,
     build_block_rep,
@@ -203,7 +204,7 @@ class TestFoldMatchesEnumeration:
         rows_for, memo = _rows_for(rep), {}
         for m in range(1, 5):
             for part in enumerate_nc(m):
-                plan = _nesting_plan(part)
+                plan = nesting_plan(part)
                 for targets in itertools.product(range(1, rep.k + 1), repeat=m):
                     value = _fold(rep.gens, plan, targets, rows_for, memo)
                     folded = rep.zero() if value is None else value

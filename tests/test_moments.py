@@ -39,6 +39,31 @@ def cumulant_sum(law, word: Word):
     return total
 
 
+def peeled_moment(law, part: Partition, inserts: list, powers: list):
+    """The nested moment by peeling, the path ``partition_moment`` replaced:
+    evaluate the leftmost interval block through the law, splice its value
+    into the inserts around it, drop the block, relabel the rest by position
+    and repeat.  Kept as the differential oracle of the nesting-tree fold."""
+    if part.m == 0:
+        return inserts[0]
+
+    def bmul(a, b):
+        return a @ b if isinstance(a, np.ndarray) else a * b
+
+    for block in part.blocks:
+        if block[-1] - block[0] == len(block) - 1:
+            lo, hi = block[0], block[-1]  # positions, 1-based
+            value = sandwiched_moment(law, [law.unit(), *inserts[lo:hi], law.unit()],
+                                      powers[lo - 1:hi])
+            spliced = bmul(bmul(inserts[lo - 1], value), inserts[hi])
+            remaining = [b for b in part.blocks if b != block]
+            relabel = {x: r + 1 for r, x in enumerate(sorted(x for b in remaining for x in b))}
+            rest = Partition(part.m - len(block), [[relabel[x] for x in b] for b in remaining])
+            return peeled_moment(law, rest, inserts[:lo - 1] + [spliced] + inserts[hi + 1:],
+                                 powers[:lo - 1] + powers[hi:])
+    raise ValueError(f"{part!r} has no interval block (crossing partition)")
+
+
 def random_scalar_law(seed: int, max_order: int = 12) -> ScalarLaw:
     rng = np.random.default_rng(seed)
     moments = [Fraction(1)] + [
@@ -157,6 +182,24 @@ class TestPartitionMoment:
         out = partition_moment(law, Partition.singletons(2), word)
         ex = law.eval([law.unit(), law.unit()])
         assert (out == ex @ ex).all()
+
+    @pytest.mark.parametrize("law", [random_matrix_law(2, 2, 11), random_rational_matrix_law(
+        2, 2, 12), semicircular_law()], ids=["float-matrix", "rational-matrix", "semicircular"])
+    def test_fold_equals_peeling_bit_for_bit(self, law):
+        # every partition of NC(m), m <= 7, random inserts, powers in {1, 2}
+        rng = np.random.default_rng(13)
+        for m in range(8):
+            for part in CACHE.nc(m):
+                inserts = tuple(law.random_element(rng) for _ in range(m + 1))
+                powers = tuple(int(p) for p in rng.integers(1, 3, size=m))
+                got = partition_moment(law, part, Word((1,) * m, inserts, powers))
+                assert np.array_equal(got, peeled_moment(law, part, list(inserts),
+                                                         list(powers))), (part, powers)
+
+    def test_empty_partition_is_the_one_insert(self):
+        law = random_matrix_law(2, 2, seed=14)
+        b = law.random_element(np.random.default_rng(15))
+        assert partition_moment(law, Partition.full(0), Word((), (b,), ())) is b
 
 
 class TestPartitionCumulant:

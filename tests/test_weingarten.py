@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qspread.moments import Word, free_iid_moment, random_rational_matrix_law, semicircular_law
@@ -228,3 +229,28 @@ class TestPositivityEvidence:
         assert report.passed, report.params
         assert report.params["evidence_only"] is True
         assert report.params["gram_size"] == 21
+
+    def test_one_state_moment_per_unordered_word_pair(self, monkeypatch):
+        # eigvalsh reads only the lower triangle, so psi is evaluated once per
+        # pair b <= a (the empty pair is 1 without a call); the eigenvalue is
+        # the one of the full Gram matrix, bit for bit
+        from qspread import weingarten
+
+        calls = []
+        monkeypatch.setattr(weingarten, "block_state_moment",
+                            lambda q, cache: calls.append(q) or block_state_moment(q, cache))
+        report = state_positivity_evidence(2, 2, max_len=2, cache=CACHE)
+        size = report.params["gram_size"]
+        assert len(calls) == size * (size + 1) // 2 - 1
+        letters = [(1, 1), (2, 1), (3, 2), (4, 2)]
+        words = [()] + [w for r in (1, 2) for w in itertools.product(letters, repeat=r)]
+
+        def psi(word):
+            if not word:
+                return 1.0
+            return float(block_state_moment(
+                BlockQuery(2, 2, tuple(l for l, _ in word), tuple(j for _, j in word)), CACHE))
+
+        full = np.array([[psi(tuple(reversed(wa)) + wb) for wb in words] for wa in words])
+        assert np.array_equal(full, full.T)
+        assert np.linalg.eigvalsh(full)[0] == report.params["min_eigenvalue"]
