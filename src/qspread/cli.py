@@ -19,6 +19,7 @@ from .partitions import MobiusCache
 from .qis import (
     build_block_rep,
     check_increasing_relations,
+    classical_point_rep,
     enumerate_increasing,
     quantum_extension,
     rep_from_json,
@@ -29,7 +30,6 @@ from .linalg import projection_pair
 from .reports import CheckReport, ResidualTracker, error_report
 from .suites import (
     classical_extension_case,
-    classical_relations_case,
     merge_config,
     mobius_checks,
     nc_count_checks,
@@ -109,9 +109,7 @@ def cmd_qis_relations(args, config) -> list[CheckReport]:
         if (args.k, args.n) != (2, 4):
             return [error_report("increasing_relations", {"rep": "projection"},
                                  "the two-projection family has k=2, n=4")]
-        report = check_increasing_relations(
-            two_projection_rep(args.theta), tolerance=tol
-        )
+        report = check_increasing_relations(two_projection_rep(args.theta), tolerance=tol)
         report.params["theta"] = args.theta
         return [report]
     if args.rep == "classical":
@@ -120,13 +118,12 @@ def cmd_qis_relations(args, config) -> list[CheckReport]:
             params={"k": args.k, "n": args.n},
         )
         for l in enumerate_increasing(args.k, args.n):
-            tracker.add(("point", list(l.values)), classical_relations_case(l))
+            tracker.add_report(("point", list(l.values)),
+                               check_increasing_relations(classical_point_rep(l), tolerance=0))
         return [tracker.report()]
     rep = build_block_rep(args.k, args.n, args.dim, args.seed)
-    report = check_increasing_relations(rep, tolerance=tol, seed=args.seed)
-    report.check_name = "increasing_relations_block_family"
-    report.params.update({"k": args.k, "n": args.n, "dim": args.dim})
-    return [report]
+    return [check_increasing_relations(rep, tolerance=tol, seed=args.seed)
+            .renamed("increasing_relations_block_family", k=args.k, n=args.n, dim=args.dim)]
 
 
 def cmd_qis_extend(args, config) -> list[CheckReport]:
@@ -139,12 +136,8 @@ def cmd_qis_extend(args, config) -> list[CheckReport]:
     reports.append(tracker.report())
     if (args.k, args.n) == (2, 4):
         extended = quantum_extension(two_projection_rep(args.theta))
-        report = check_magic_unitary(
-            extended, tolerance=config["tolerances"]["magic"]
-        )
-        report.check_name = "extension_magic_unitary"
-        report.params["theta"] = args.theta
-        reports.append(report)
+        reports.append(check_magic_unitary(extended, tolerance=config["tolerances"]["magic"])
+                       .renamed("extension_magic_unitary", theta=args.theta))
     return reports
 
 

@@ -17,8 +17,10 @@ free-implies-invariant direction).  For a non-crossing sigma, S is one fold
 over its nesting tree: an interval's sum is the product of its outer blocks'
 sums, and a block sums its generator product over a common row, with its
 gaps already folded; one memo of block sums serves a whole check or
-``check_kernel_sums`` sweep.  A crossing sigma is enumerated over its row
-assignments.  Rows where a generator is exactly zero are skipped.
+``check_kernel_sums`` sweep, which folds all target tuples of a partition in
+one left-to-right pass that forms each prefix product once.  A crossing sigma
+is enumerated over its row assignments.  Rows where a generator is exactly
+zero are skipped.
 """
 from __future__ import annotations
 
@@ -80,14 +82,40 @@ def _fold(gens: dict, plan: tuple, targets, rows_for: dict, memo: dict):
     total = None
     for block, word, shape in plan:
         key = (shape, targets[block[0] - 1:block[-1]])
-        if key in memo:
-            block_sum = memo[key]
-        else:
-            block_sum = memo[key] = _block_sum(gens, block, word, targets, rows_for, memo)
+        if key not in memo:
+            memo[key] = _block_sum(gens, block, word, targets, rows_for, memo)
+        block_sum = memo[key]
         if block_sum is None:
             return None
         total = block_sum if total is None else total @ block_sum
     return total
+
+
+def _sweep(gens: dict, plan: tuple, k: int, rows_for: dict, memo: dict) -> list:
+    """``_fold`` of ``plan`` at every target tuple in [k]^m, in lexicographic
+    order, in one left-to-right pass: the outer blocks cover consecutive
+    spans, so each prefix product is formed once and extended by the block
+    sum of every next span (as ``total @ block_sum``, ``_fold``'s
+    association), and a vanished one fills all the tuples it begins."""
+    m = plan[-1][0][-1]
+    out: list = []
+
+    def extend(at: int, prefix: tuple, total) -> None:
+        block, word, shape = plan[at]
+        for span in itertools.product(range(1, k + 1), repeat=block[-1] - block[0] + 1):
+            key = (shape, span)
+            if key not in memo:
+                memo[key] = _block_sum(gens, block, word, prefix + span, rows_for, memo)
+            block_sum = memo[key]
+            if block_sum is None:
+                out.extend([None] * k ** (m - block[-1]))
+            elif at + 1 == len(plan):
+                out.append(block_sum if total is None else total @ block_sum)
+            else:
+                extend(at + 1, prefix + span, block_sum if total is None else total @ block_sum)
+
+    extend(0, (), None)
+    return out
 
 
 def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
@@ -143,7 +171,9 @@ def check_kernel_sums(
     seed: int | None = None,
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
-    all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS."""
+    all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS.
+    Each partition is one ``_sweep`` over [k]^m, and a sum that vanishes
+    identically has the residual of its expected value, formed once."""
     require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
     _require_valid(rep, tolerance)
     cache = cache or default_cache()
@@ -154,23 +184,22 @@ def check_kernel_sums(
         seed=seed if seed is not None else rep.seed,
     )
     one, zero = rep.unit(), rep.zero()
+    # want and its residual, which is the defect of a vanished sum
+    hit, miss = (one, residual_norm(one)), (zero, residual_norm(zero))
     rows_for = _rows_for(rep)
     memo: dict = {}  # block sums; valid for this representation only
     for m in range(1, max_len + 1):
-        kernels = [
-            (targets, kernel(targets))
-            for targets in itertools.product(range(1, rep.k + 1), repeat=m)
-        ]
-        distinct = {ker.rgs: ker for _, ker in kernels}
+        cases = [(kernel(targets), list(targets))
+                 for targets in itertools.product(range(1, rep.k + 1), repeat=m)]
+        distinct = {ker.rgs: ker for ker, _ in cases}
         for part in cache.nc(m):
-            plan = nesting_plan(part)
             blocks = [list(b) for b in part.blocks]
-            expected = {rgs: one if leq(part, ker) else zero for rgs, ker in distinct.items()}
-            for targets, ker in kernels:
-                value = _fold(rep.gens, plan, targets, rows_for, memo)
-                want = expected[ker.rgs]
-                defect = want if value is None else value - want  # None: zero sum
-                tracker.add(("kernel-sum", blocks, list(targets)), residual_norm(defect))
+            expected = {rgs: hit if leq(part, ker) else miss for rgs, ker in distinct.items()}
+            values = _sweep(rep.gens, nesting_plan(part), rep.k, rows_for, memo)
+            for value, (ker, targets) in zip(values, cases):
+                want, vanished = expected[ker.rgs]
+                tracker.add(("kernel-sum", blocks, targets),
+                            vanished if value is None else residual_norm(value - want))
     return tracker.report()
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 
-_ZERO = Fraction(0)
+EXACT_ZERO_RESIDUAL = Fraction(0)
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -62,11 +62,11 @@ def residual_norm(a: np.ndarray):
     the same residual after conjugating a family by a fixed unitary.  On the
     exact backend the value is an int or a Fraction, only ever compared
     against 0.  A zero defect, the common case, returns at once: the shared
-    Fraction zero, or 0.0 without an SVD (a NaN entry is truthy, so it still
-    reaches the norm).
+    ``EXACT_ZERO_RESIDUAL``, or 0.0 without an SVD (a NaN entry is truthy, so
+    it still reaches the norm).
     """
     if is_exact(a):
-        return max(abs(x) for x in a.flat) if any(a.flat) else _ZERO
+        return max(abs(x) for x in a.flat) if any(a.flat) else EXACT_ZERO_RESIDUAL
     if not a.any():
         return 0.0
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))

@@ -116,9 +116,6 @@ class Partition:
     def block_index(self, x: int) -> int:
         return self.rgs[x - 1]
 
-    def same_block(self, x: int, y: int) -> bool:
-        return self.rgs[x - 1] == self.rgs[y - 1]
-
     def is_noncrossing(self) -> bool:
         flag = self._noncrossing
         if flag is None:

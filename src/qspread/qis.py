@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    EXACT_ZERO_RESIDUAL,
     is_exact,
     projection_pair,
     random_pvm,
@@ -187,7 +188,12 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
     the generators at ``keys``, then the residual from the unit of the sum
     over each (label, keys) of ``sums``: all defining.  Then each (label,
     keys, defining) that ``products`` yields tracks the norm of the product
-    of the generators at ``keys``, as a defining or a derived residual."""
+    of the generators at ``keys``, as a defining or a derived residual.
+
+    On the exact backend a product with an exactly zero factor (see
+    ``Representation.nonzero_mask``) is the exact zero: its case gets the
+    shared exact zero that ``residual_norm`` returns for a zero defect, with
+    no product formed and no maximum updated (it cannot raise one)."""
     tracker = ResidualTracker(name, rep.tolerance if tolerance is None else tolerance,
                               params=params, seed=rep.seed if seed is None else seed)
     worst = {True: 0, False: 0}  # defining, derived
@@ -203,7 +209,11 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
             r_sum = residual_norm(sum((rep.gen(*key) for key in terms), rep.zero()) - rep.unit())
             tracker.add(label, r_sum)
             worst[True] = max(worst[True], r_sum)
+    mask = rep.nonzero_mask()
     for label, terms, defining in products:
+        if mask is not None and not all(mask[key] for key in terms):
+            tracker.add(label, EXACT_ZERO_RESIDUAL)
+            continue
         r = residual_norm(functools.reduce(operator.matmul, (rep.gen(*key) for key in terms)))
         tracker.add(label, r)
         worst[defining] = max(worst[defining], r)
@@ -304,25 +314,6 @@ def quantum_extension(
         kind="permutation", k=n, n=n, gens=gens, dim=rep.dim, seed=rep.seed,
         tolerance=rep.tolerance,
     )
-
-
-def rep_to_json_dict(rep: Representation) -> dict:
-    def encode(matrix: np.ndarray) -> list:
-        return [[[float(complex(x).real), float(complex(x).imag)] for x in row]
-                for row in matrix.tolist()]
-
-    return {
-        "kind": rep.kind,
-        "k": rep.k,
-        "n": rep.n,
-        "dim": rep.dim,
-        "seed": rep.seed,
-        "gens": {f"{i},{j}": encode(g) for (i, j), g in sorted(rep.gens.items())},
-    }
-
-
-def rep_to_json(rep: Representation) -> str:
-    return json.dumps(rep_to_json_dict(rep), sort_keys=True)
 
 
 def rep_from_json_dict(data: dict) -> Representation:

@@ -94,8 +94,3 @@ def convolution(rep_u: Representation, rep_v: Representation) -> Representation:
         kind="permutation", k=n, n=n, gens=gens, dim=rep_u.dim * rep_v.dim,
         seed=rep_u.seed,
     )
-
-
-def compose(perm_a: tuple[int, ...], perm_b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a o b)(j) = a(b(j)), matching the convolution of their representations."""
-    return tuple(perm_a[perm_b[j - 1] - 1] for j in range(1, len(perm_b) + 1))

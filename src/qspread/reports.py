@@ -32,6 +32,12 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    def renamed(self, check_name: str, **params) -> CheckReport:
+        """This report, under ``check_name`` and with ``params`` added."""
+        self.check_name = check_name
+        self.params.update(params)
+        return self
+
     def to_json_dict(self) -> dict:
         """The report as plain JSON values; a NaN or infinite float anywhere
         in it becomes the string "nan", "inf" or "-inf"."""
@@ -64,6 +70,7 @@ class ResidualTracker:
 
     The report fails when no case was added, and when a residual was NaN or
     infinite: the first such case is then the witness, whatever came after.
+    A case added with ``add_report`` is judged by its sub-check instead.
     """
 
     def __init__(self, check_name: str, tolerance, params: dict | None = None,
@@ -76,6 +83,8 @@ class ResidualTracker:
         self.worst_witness = None
         self.all_exact = True
         self.nonfinite = None  # (witness, residual) of the first NaN or inf
+        self.failed = None  # witness of the first sub-check that failed
+        self.excused = None  # largest residual above tolerance of a passed sub-check
         self._start = time.perf_counter()
 
     def add(self, witness, residual) -> None:
@@ -89,6 +98,21 @@ class ResidualTracker:
             self.worst = residual
             self.worst_witness = witness
 
+    def add_report(self, witness, inner: CheckReport) -> None:
+        """One ``add`` for the report of a sub-check, at its max residual
+        (exact-zero as 0).  The case fails exactly when ``inner`` failed, its
+        witness then carrying the inner one.  An inner that passed at its own
+        tolerance never fails this tracker: above this tolerance it is added
+        at the tolerance, and its residual only raises the reported maximum."""
+        residual = 0 if inner.max_residual == EXACT_ZERO else inner.max_residual
+        if not inner.passed:
+            witness = (*witness, inner.witness)
+            self.failed = self.failed or witness
+        elif residual > self.tolerance:
+            self.excused = max(residual, self.excused or residual)
+            residual = float(self.tolerance)
+        self.add(witness, residual)
+
     def max_residual(self):
         return self.worst if self.worst is not None else 0
 
@@ -99,11 +123,14 @@ class ResidualTracker:
             witness, worst = self.nonfinite
         elif self.worst is None:
             witness = ["no cases examined"]
-        ok = self.worst is not None and self.nonfinite is None and worst <= self.tolerance
+        elif self.failed is not None and worst <= self.tolerance:
+            witness = self.failed
+        ok = (self.worst is not None and self.nonfinite is None and self.failed is None
+              and worst <= self.tolerance)
         if ok and self.all_exact and worst == 0:
             residual_out: float | str = EXACT_ZERO
         else:
-            residual_out = float(worst)
+            residual_out = float(worst if self.excused is None else max(worst, self.excused))
         params = dict(self.params)
         params["tolerance"] = float(self.tolerance)
         if extra_params:

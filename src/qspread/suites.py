@@ -309,12 +309,6 @@ def _angles(count: int, seed: int) -> list[float]:
     return [float(t) for t in rng.uniform(0.05, np.pi / 2 - 0.05, size=count)]
 
 
-def classical_relations_case(l) -> int:
-    """0 when the classical point of ``l`` passes its relations exactly, else 1."""
-    report = check_increasing_relations(classical_point_rep(l), tolerance=0)
-    return 0 if report.max_residual == "exact-zero" else 1
-
-
 def classical_extension_case(l) -> int:
     """The largest entry gap between the extension of the classical point of
     ``l`` and the permutation matrix of ``extend_to_permutation(l)``."""
@@ -334,9 +328,8 @@ def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         params={"k": 2, "n": 4, "theta_count": cfg["theta_count"]}, seed=seed,
     )
     for theta in _angles(cfg["theta_count"], seed + 2):
-        report = check_increasing_relations(two_projection_rep(theta), tolerance=tol)
-        tracker.add(("theta", theta), float(report.max_residual)
-                    if report.max_residual != "exact-zero" else 0)
+        tracker.add_report(("theta", theta),
+                           check_increasing_relations(two_projection_rep(theta), tolerance=tol))
     reports.append(tracker.report())
 
     tracker = ResidualTracker(
@@ -346,15 +339,14 @@ def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     for n in range(1, cfg["classical_n_max"] + 1):
         for k in range(1, n + 1):
             for l in enumerate_increasing(k, n):
-                tracker.add(("point", k, n, list(l.values)), classical_relations_case(l))
+                tracker.add_report(("point", k, n, list(l.values)),
+                                   check_increasing_relations(classical_point_rep(l), tolerance=0))
     reports.append(tracker.report())
 
     block = cfg["block"]
     rep = build_block_rep(block["k"], block["n"], block["dim"], seed + 3)
-    report = check_increasing_relations(rep, tolerance=tol, seed=seed + 3)
-    report.check_name = "increasing_relations_block_family"
-    report.params.update(block)
-    reports.append(report)
+    reports.append(check_increasing_relations(rep, tolerance=tol, seed=seed + 3)
+                   .renamed("increasing_relations_block_family", **block))
     return reports
 
 
@@ -380,9 +372,7 @@ def extension_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     )
     for theta in _angles(cfg["theta_count"], seed + 4):
         extended = quantum_extension(two_projection_rep(theta))
-        report = check_magic_unitary(extended, tolerance=magic_tol)
-        tracker.add(("theta", theta), float(report.max_residual)
-                    if report.max_residual != "exact-zero" else 0)
+        tracker.add_report(("theta", theta), check_magic_unitary(extended, tolerance=magic_tol))
     reports.append(tracker.report())
     return reports
 
@@ -399,19 +389,13 @@ def kernel_sum_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     )
     for n in range(1, cfg["n_max"] + 1):
         for perm in itertools.permutations(range(1, n + 1)):
-            report = check_kernel_sums(
-                permutation_rep(perm), cfg["m_max"], tolerance=0, cache=cache
-            )
-            tracker.add(("perm", list(perm)),
-                        0 if report.max_residual == "exact-zero" else float(report.max_residual))
+            tracker.add_report(("perm", list(perm)), check_kernel_sums(
+                permutation_rep(perm), cfg["m_max"], tolerance=0, cache=cache))
     reports.append(tracker.report())
 
     extended = quantum_extension(two_projection_rep(0.6))
-    report = check_kernel_sums(
-        extended, cfg["quantum_m_max"], tolerance=tol, cache=cache, seed=seed
-    )
-    report.check_name = "kernel_sums_extended_rep"
-    reports.append(report)
+    reports.append(check_kernel_sums(extended, cfg["quantum_m_max"], tolerance=tol, cache=cache,
+                                     seed=seed).renamed("kernel_sums_extended_rep"))
     return reports
 
 
@@ -455,11 +439,9 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     if cfg.get("spot_length", 5) > cfg["max_word_len"]:
         words2 += spot_words(scalar_law, 2, cfg.get("spot_length", 5), seed + 17)
     rep = two_point_rep(projection_pair(cfg["theta"])[1])
-    report = check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed)
-    report.check_name = "exchangeable_projection_rep"
-    report.params["theta"] = cfg["theta"]
-    report.params["law"] = config["law"].get("kind", "semicircular")
-    reports.append(report)
+    reports.append(check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
+        "exchangeable_projection_rep", theta=cfg["theta"],
+        law=config["law"].get("kind", "semicircular")))
 
     tracker = ResidualTracker(
         "exchangeable_permutation_reps", 0,
@@ -470,18 +452,15 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     words3 = suite_words(scalar_law, max_targets=3, max_len=min(cfg["max_word_len"], 3))
     for perm in itertools.permutations((1, 2, 3)):
         rep_p = permutation_rep(perm)
-        inner = check_exchangeable(seq, rep_p, words3, tolerance=max(tol, 0), seed=seed)
-        tracker.add(("perm", list(perm)),
-                    0 if inner.max_residual == "exact-zero" else float(inner.max_residual))
+        tracker.add_report(("perm", list(perm)), check_exchangeable(
+            seq, rep_p, words3, tolerance=max(tol, 0), seed=seed))
     reports.append(tracker.report())
 
     if cfg.get("include_extended", True):
         extended = quantum_extension(two_projection_rep(cfg["theta"]))
         words4 = suite_words(scalar_law, max_targets=4, max_len=cfg["extended_word_len"])
-        report = check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)
-        report.check_name = "exchangeable_extended_rep"
-        report.params["theta"] = cfg["theta"]
-        reports.append(report)
+        reports.append(check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)
+                       .renamed("exchangeable_extended_rep", theta=cfg["theta"]))
 
     inner = check_exchangeable(
         _broken_sequence(2), rep,
@@ -500,30 +479,22 @@ def spreadable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     reports = []
 
     words = suite_words(scalar_law, max_targets=2, max_len=cfg["max_word_len"])
-    report = check_spreadable(
-        seq, two_projection_rep(cfg["theta"]), words, tolerance=tol, seed=seed
-    )
-    report.check_name = "spreadable_projection_family"
-    report.params["theta"] = cfg["theta"]
-    reports.append(report)
+    reports.append(check_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
+                                    seed=seed)
+                   .renamed("spreadable_projection_family", theta=cfg["theta"]))
 
     block = cfg["block"]
     rep = build_block_rep(block["k"], block["n"], block["dim"], seed + 7)
     words_k = suite_words(scalar_law, max_targets=block["k"],
                           max_len=min(cfg["max_word_len"], 3))
-    report = check_spreadable(seq, rep, words_k, tolerance=tol, seed=seed + 7)
-    report.check_name = "spreadable_block_family"
-    report.params.update(block)
-    reports.append(report)
+    reports.append(check_spreadable(seq, rep, words_k, tolerance=tol, seed=seed + 7)
+                   .renamed("spreadable_block_family", **block))
 
     pulled = quantum_extension(two_projection_rep(cfg["theta"]))
-    report = check_exchangeable(
+    reports.append(check_exchangeable(
         seq, pulled, suite_words(scalar_law, 2, min(cfg["max_word_len"], 3)),
         tolerance=tol, seed=seed,
-    )
-    report.check_name = "spreadable_via_extension_pullback"
-    report.params["theta"] = cfg["theta"]
-    reports.append(report)
+    ).renamed("spreadable_via_extension_pullback", theta=cfg["theta"]))
 
     inner = check_spreadable(
         _broken_sequence(4), two_projection_rep(cfg["theta"]),
@@ -542,12 +513,9 @@ def bvalued_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     words = random_insert_words(law, max_targets=2, max_len=cfg["max_word_len"],
                                 seed=seed + 9)
     words += [Word.plain(law, (1,) * m) for m in range(1, cfg["max_word_len"] + 1)]
-    report = check_bvalued_spreadable(
-        seq, two_projection_rep(cfg["theta"]), words, tolerance=tol, seed=seed
-    )
-    report.check_name = "bvalued_spreadable_matrix_law"
-    report.params.update({"d": cfg["d"], "D": cfg["D"]})
-    return [report]
+    return [check_bvalued_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
+                                     seed=seed)
+            .renamed("bvalued_spreadable_matrix_law", d=cfg["d"], D=cfg["D"])]
 
 
 def psi_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:

@@ -25,6 +25,8 @@ from qspread.weingarten import (
     state_positivity_evidence,
 )
 
+from helpers import rep_to_json, rep_to_json_dict
+
 TRIMMED = {
     "nc": {"m_max": 6, "mobius_m_max": 4, "zeta_m_max": 3, "column_m_max": 4},
     "roundtrip": {"scalar_m_max": 3, "matrix_m_max": 2},
@@ -109,7 +111,7 @@ class TestBasicCommands:
         assert report["max_residual"] == "exact-zero"
 
     def test_qperm_magic_from_file(self, tmp_path, capsys):
-        from qspread.qis import rep_to_json, quantum_extension, two_projection_rep
+        from qspread.qis import quantum_extension, two_projection_rep
 
         path = tmp_path / "rep.json"
         path.write_text(rep_to_json(quantum_extension(two_projection_rep(0.6))))
@@ -166,7 +168,6 @@ class TestMalformedRepFile:
 
     @staticmethod
     def identity_family() -> dict:
-        from qspread.qis import rep_to_json_dict
         from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 
         return rep_to_json_dict(permutation_rep((1, 2)))
@@ -226,6 +227,19 @@ class TestSuiteAll:
         names = {r["check_name"] for r in reports}
         assert "exchangeable_negative_control" in names
         assert "spreadable_negative_control" in names
+
+    @pytest.mark.parametrize("command, section, rollup", [
+        ("suite", {"kernel_sums": {"m_max": 0}}, "kernel_sums_permutation_reps"),
+        ("inv", {"exchangeable": {"max_word_len": 0, "spot_length": 0,
+                                  "extended_word_len": 0}}, "exchangeable_permutation_reps"),
+    ])
+    def test_rollup_over_no_cases_fails(self, tmp_path, capsys, command, section, rollup):
+        config = write_config(tmp_path, {**TRIMMED, **section})
+        args = ["suite", "all"] if command == "suite" else ["inv", "exchangeable"]
+        assert main(args + ["--config", config]) == 1
+        report = next(r for r in read_reports(capsys) if r["check_name"] == rollup)
+        assert report["status"] == "fail"
+        assert report["witness"][0] == "perm" and report["witness"][-1] == ["no cases examined"]
 
     def test_out_file(self, tmp_path):
         config = write_config(tmp_path, TRIMMED)
@@ -445,8 +459,6 @@ class TestDirectCallBudgets:
             check_magic_unitary(permutation_rep((1, 2, 3, 4)))
 
     def test_every_rep_form_over_the_magic_cap_is_2(self, tmp_path, capsys, monkeypatch):
-        from qspread.qis import rep_to_json
-
         path = tmp_path / "rep.json"
         path.write_text(rep_to_json(permutation_rep((2, 1, 3))))
         for cap, spec in ((2, "permutation:2,1,3"), (2, str(path)), (3, "extended:theta=0.7"),
@@ -508,6 +520,15 @@ class TestShippedConfigs:
     def test_default_json_matches_builtin_defaults(self):
         shipped = json.loads(self.docs_path("default.json").read_text())
         assert shipped == DEFAULT_CONFIG
+
+    def test_matrix_law_json_passes(self, capsys):
+        # the S_3 checks pass at the section tolerance with a roundoff-sized
+        # residual, which their rollup (tolerance 0) must not turn into a failure
+        assert main(["suite", "all", "--config", str(self.docs_path("matrix_law.json"))]) == 0
+        reports = {r["check_name"]: r for r in read_reports(capsys)}
+        rollup = reports["exchangeable_permutation_reps"]
+        assert rollup["status"] == "pass" and rollup["params"]["law"] == "matrix"
+        assert 0 < rollup["max_residual"] <= DEFAULT_CONFIG["tolerances"]["exchangeable"]
 
     def test_broken_json_is_detected(self, capsys):
         assert main(["inv", "exchangeable", "--config",

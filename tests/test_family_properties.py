@@ -19,8 +19,10 @@ from qspread.qis import (
     extend_to_permutation,
     quantum_extension,
 )
-from qspread.qperm import check_magic_unitary, compose, convolution, permutation_rep
+from qspread.qperm import check_magic_unitary, convolution, permutation_rep
 from qspread.reports import EXACT_ZERO
+
+from helpers import compose
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 

@@ -13,6 +13,7 @@ from qspread.invariance import (
     _lhs,
     _mobius_p,
     _rows_for,
+    _sweep,
     check_bvalued_spreadable,
     check_exchangeable,
     check_kernel_sums,
@@ -217,6 +218,50 @@ class TestFoldMatchesEnumeration:
         rep = quantum_extension(two_projection_rep(0.65))
         for case, folded, enumerated in fold_and_oracle(rep, 4):
             assert residual_norm(folded - enumerated) <= 1e-12, case
+
+
+class TestSweepMatchesFold:
+    """The one-pass sweep of check_kernel_sums against ``_fold`` at each
+    target tuple, entry by entry: None where the fold is None, and the same
+    matrix bit for bit (the same association of the same products)
+    elsewhere, on every non-crossing partition of size up to 4."""
+
+    @staticmethod
+    def assert_sweep_is_fold(rep, max_len=4):
+        rows_for, sweep_memo, fold_memo = _rows_for(rep), {}, {}
+        for m in range(1, max_len + 1):
+            tuples = list(itertools.product(range(1, rep.k + 1), repeat=m))
+            for part in enumerate_nc(m):
+                plan = nesting_plan(part)
+                swept = _sweep(rep.gens, plan, rep.k, rows_for, sweep_memo)
+                folded = [_fold(rep.gens, plan, t, rows_for, fold_memo) for t in tuples]
+                assert len(swept) == len(folded), part
+                for targets, got, want in zip(tuples, swept, folded):
+                    assert (got is None) == (want is None), (part, targets)
+                    assert got is None or np.array_equal(got, want), (part, targets)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_permutation_reps(self, n):
+        for perm in itertools.permutations(range(1, n + 1)):
+            self.assert_sweep_is_fold(permutation_rep(perm))
+
+    def test_float_extended_rep(self):
+        self.assert_sweep_is_fold(quantum_extension(two_projection_rep(0.6)))
+
+    def test_exact_extension_of_a_classical_point(self):
+        l = enumerate_increasing(2, 4)[2]
+        self.assert_sweep_is_fold(quantum_extension(classical_point_rep(l)))
+
+    def test_unrelated_exact_family(self):
+        # sums that are not 0 or 1, so a misplaced product would show
+        self.assert_sweep_is_fold(TestFoldMatchesEnumeration.unrelated_exact_family())
+
+    def test_vanished_block_fills_every_tuple_it_begins(self):
+        rep = permutation_rep((2, 1, 3))
+        plan = nesting_plan(Partition(3, [(1, 2), (3,)]))
+        swept = _sweep(rep.gens, plan, rep.k, _rows_for(rep), {})
+        # targets (1, 2, j): no row i has u_{i1} and u_{i2} both nonzero
+        assert swept[3:6] == [None, None, None]
 
 
 def zeta_inverse_all(m):

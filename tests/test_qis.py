@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from qspread import qis
 from qspread.qis import (
     IncreasingSequence,
     Representation,
@@ -14,12 +18,13 @@ from qspread.qis import (
     extend_to_permutation,
     quantum_extension,
     rep_from_json,
-    rep_to_json,
     two_projection_rep,
 )
 from qspread.linalg import residual_norm
 from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO
+
+from helpers import rep_to_json
 
 
 class TestIncreasingSequences:
@@ -211,6 +216,78 @@ class TestQuantumExtension:
                         partial_sum = partial_sum + rep.gen(i, p_col)
                     v = rep.gen(l, p_col + 1)
                     assert residual_norm(partial_sum @ v - v) < 1e-12, (p_col, l)
+
+
+def report_stream(report) -> dict:
+    return {key: value for key, value in report.to_json_dict().items() if key != "runtime_ms"}
+
+
+class TestRelationsSkipZeroProducts:
+    """The relation checks leave out the products with an exactly zero
+    factor; without the mask (every product formed) the reports must be the
+    same, failing ones included."""
+
+    @staticmethod
+    def with_one_at(rep, key):
+        """``rep`` with the generator at ``key`` set to 1: relations that
+        held exactly now fail on products whose other factors are nonzero."""
+        one = np.array([[1]], dtype=object)
+        return dataclasses.replace(rep, gens={**rep.gens, key: one})
+
+    def cases(self):
+        yield check_magic_unitary, self.with_one_at(permutation_rep((1, 2, 3)), (1, 2))
+        yield (check_increasing_relations,
+               self.with_one_at(classical_point_rep(IncreasingSequence(2, 4, (1, 3))), (2, 2)))
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for l in enumerate_increasing(k, n):
+                    yield check_increasing_relations, classical_point_rep(l)
+                    yield check_magic_unitary, quantum_extension(classical_point_rep(l))
+        for n in (3, 4):
+            for perm in itertools.permutations(range(1, n + 1)):
+                yield check_magic_unitary, permutation_rep(perm)
+
+    def test_reports_equal_those_without_the_mask(self, monkeypatch):
+        cases = list(self.cases())
+        skipped = [report_stream(check(rep, tolerance=0)) for check, rep in cases]
+        monkeypatch.setattr(Representation, "nonzero_mask", lambda self: None)
+        formed = [report_stream(check(rep, tolerance=0)) for check, rep in cases]
+        assert skipped == formed
+        assert [s["status"] for s in skipped[:2]] == ["fail", "fail"]
+        assert all(s["max_residual"] == EXACT_ZERO for s in skipped[2:])
+
+    def test_float_rep_forms_every_product(self, monkeypatch):
+        # the float two-projection family stores exact zero matrices, yet
+        # without a mask every case still goes through residual_norm
+        for check, rep in ((check_increasing_relations, two_projection_rep(0.7)),
+                           (check_magic_unitary, quantum_extension(two_projection_rep(0.7)))):
+            assert rep.nonzero_mask() is None
+            assert count_calls(monkeypatch, check, rep) == count_cases(monkeypatch, check, rep)
+
+    def test_exact_rep_skips_zero_products(self, monkeypatch):
+        rep = permutation_rep((2, 1, 3, 4))
+        calls = count_calls(monkeypatch, check_magic_unitary, rep)
+        assert calls < count_cases(monkeypatch, check_magic_unitary, rep)
+
+
+def count_calls(monkeypatch, check, rep) -> int:
+    """The residual_norm calls of one relation check."""
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(qis, "residual_norm", lambda a: calls.append(a) or residual_norm(a))
+        check(rep)
+    return len(calls)
+
+
+def count_cases(monkeypatch, check, rep) -> int:
+    """The tracker cases of one relation check."""
+    cases = []
+    add = qis.ResidualTracker.add
+    with monkeypatch.context() as patch:
+        patch.setattr(qis.ResidualTracker, "add",
+                      lambda self, w, r: cases.append(w) or add(self, w, r))
+        check(rep)
+    return len(cases)
 
 
 class TestSerialization:

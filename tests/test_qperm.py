@@ -9,12 +9,13 @@ from qspread.linalg import projection_pair, residual_norm
 from qspread.qis import quantum_extension, two_projection_rep
 from qspread.qperm import (
     check_magic_unitary,
-    compose,
     convolution,
     permutation_rep,
     two_point_rep,
 )
 from qspread.reports import EXACT_ZERO
+
+from helpers import compose
 
 
 def all_permutations(n):

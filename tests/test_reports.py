@@ -6,7 +6,7 @@ from pathlib import Path
 
 import jsonschema
 
-from qspread.reports import ResidualTracker
+from qspread.reports import EXACT_ZERO, ResidualTracker
 
 
 def tracked(*cases, tolerance=1e-9):
@@ -33,6 +33,58 @@ class TestResidualTracker:
         assert report.status == "fail"
         assert report.witness == ["no cases examined"]
         assert report.max_residual == 0.0
+
+
+def rolled(*inners, tolerance=0, cases=()):
+    """A tracker of ``tolerance`` fed the plain ``cases``, then one
+    add_report per inner report, numbered from 1."""
+    tracker = ResidualTracker("outer", tolerance)
+    for witness, residual in cases:
+        tracker.add(witness, residual)
+    for number, inner in enumerate(inners, 1):
+        tracker.add_report(("inner", number), inner)
+    return tracker.report()
+
+
+class TestAddReport:
+    PASS_EXACT = tracked((("a",), 0), tolerance=0)
+    PASS_FLOAT = tracked((("a",), 1.8e-15), tolerance=1e-9)
+    FAIL = tracked((("a",), 0.0), (("b",), 0.5), tolerance=1e-9)
+    EMPTY = ResidualTracker("inner", 1e-9).report()
+
+    def test_exact_zero_inners_keep_the_outer_exact_zero(self):
+        assert self.PASS_EXACT.max_residual == EXACT_ZERO
+        report = rolled(self.PASS_EXACT, self.PASS_EXACT)
+        assert report.passed and report.max_residual == EXACT_ZERO
+
+    def test_an_inner_passed_at_its_own_tolerance_never_fails_the_outer(self):
+        report = rolled(self.PASS_EXACT, self.PASS_FLOAT, self.PASS_EXACT, tolerance=0)
+        assert report.passed and report.witness is None
+        assert report.max_residual == 1.8e-15
+
+    def test_a_failed_inner_fails_the_outer_with_its_witness(self):
+        report = rolled(self.PASS_FLOAT, self.FAIL, self.PASS_EXACT, tolerance=1.0)
+        assert report.status == "fail"
+        assert report.witness == ["inner", 2, ["b"]]
+        assert report.max_residual == 0.5
+
+    def test_an_inner_that_examined_nothing_fails_the_outer(self):
+        report = rolled(self.PASS_EXACT, self.EMPTY)
+        assert report.status == "fail"
+        assert report.witness == ["inner", 2, ["no cases examined"]]
+
+    def test_plain_cases_keep_their_tolerance_beside_a_passed_inner(self):
+        report = rolled(self.PASS_FLOAT, cases=[(("plain",), 1e-16)])
+        assert report.status == "fail" and report.witness == ["plain"]
+        assert report.max_residual == 1.8e-15
+
+    def test_one_add_per_inner_report(self, monkeypatch):
+        seen = []
+        add = ResidualTracker.add
+        monkeypatch.setattr(ResidualTracker, "add",
+                            lambda self, w, r: seen.append(w) or add(self, w, r))
+        rolled(self.PASS_EXACT, self.PASS_FLOAT, self.FAIL, self.EMPTY)
+        assert [w[1] for w in seen] == [1, 2, 3, 4]
 
 
 def strict_json(line: str):
