@@ -4,6 +4,14 @@ Every subcommand runs one or more named checks and emits one JSON object per
 check, either to stdout or to ``--out``.  Exit status: 0 when every check
 passes, 1 when any check fails or errors, 2 on usage errors.
 
+Each check has one definition, in ``qspread.suites``: the ``nc``, ``qis``,
+``inv`` and ``wg`` subcommands run suite sections, their flags merged into
+the config as overrides.  ``qis relations --n N`` is the ``relations``
+section and ``qis extend --n N`` the ``extension`` section, each with
+``classical_n_max = N``.  One angle of the two-projection family is
+``qperm magic --rep extended:theta=...``, whose extension checks the
+increasing relations first.
+
 The configuration file is a single JSON document; missing keys fall back to
 documented defaults (see ``qspread config``).  The environment variable
 ``QSPREAD_CONFIG`` supplies a default path.
@@ -17,19 +25,14 @@ import sys
 
 from .partitions import MobiusCache
 from .qis import (
-    build_block_rep,
-    check_increasing_relations,
-    classical_point_rep,
-    enumerate_increasing,
     quantum_extension,
     rep_from_json,
     two_projection_rep,
 )
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .linalg import projection_pair
-from .reports import CheckReport, ResidualTracker, error_report
+from .reports import CheckReport
 from .suites import (
-    classical_extension_case,
     merge_config,
     mobius_checks,
     nc_count_checks,
@@ -103,42 +106,10 @@ def cmd_nc(args, config) -> list[CheckReport]:
     return mobius_checks(config, cache)
 
 
-def cmd_qis_relations(args, config) -> list[CheckReport]:
-    tol = config["tolerances"]["relations"]
-    if args.rep == "projection":
-        if (args.k, args.n) != (2, 4):
-            return [error_report("increasing_relations", {"rep": "projection"},
-                                 "the two-projection family has k=2, n=4")]
-        report = check_increasing_relations(two_projection_rep(args.theta), tolerance=tol)
-        report.params["theta"] = args.theta
-        return [report]
-    if args.rep == "classical":
-        tracker = ResidualTracker(
-            "increasing_relations_classical_points", 0,
-            params={"k": args.k, "n": args.n},
-        )
-        for l in enumerate_increasing(args.k, args.n):
-            tracker.add_report(("point", list(l.values)),
-                               check_increasing_relations(classical_point_rep(l), tolerance=0))
-        return [tracker.report()]
-    rep = build_block_rep(args.k, args.n, args.dim, args.seed)
-    return [check_increasing_relations(rep, tolerance=tol, seed=args.seed)
-            .renamed("increasing_relations_block_family", k=args.k, n=args.n, dim=args.dim)]
-
-
-def cmd_qis_extend(args, config) -> list[CheckReport]:
-    reports = []
-    tracker = ResidualTracker(
-        "extension_classical_points", 0, params={"k": args.k, "n": args.n},
-    )
-    for l in enumerate_increasing(args.k, args.n):
-        tracker.add(("point", list(l.values)), classical_extension_case(l))
-    reports.append(tracker.report())
-    if (args.k, args.n) == (2, 4):
-        extended = quantum_extension(two_projection_rep(args.theta))
-        reports.append(check_magic_unitary(extended, tolerance=config["tolerances"]["magic"])
-                       .renamed("extension_magic_unitary", theta=args.theta))
-    return reports
+def cmd_qis(args, config) -> list[CheckReport]:
+    section = "relations" if args.sub == "relations" else "extension"
+    config = merge_config({**config, section: {**config[section], "classical_n_max": args.n}})
+    return run_section(section, config)
 
 
 def cmd_qperm_magic(args, config) -> list[CheckReport]:
@@ -190,18 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
     qis_sub = qis.add_subparsers(dest="sub", required=True)
     qis_rel = qis_sub.add_parser("relations", parents=[common],
                                  help="defining-relation residuals")
-    qis_rel.add_argument("--k", type=int, required=True)
     qis_rel.add_argument("--n", type=int, required=True)
-    qis_rel.add_argument("--rep", choices=["projection", "classical", "block"],
-                         required=True)
-    qis_rel.add_argument("--theta", type=float, default=0.8)
-    qis_rel.add_argument("--dim", type=int, default=4)
-    qis_rel.add_argument("--seed", type=int, default=0)
     qis_ext = qis_sub.add_parser("extend", parents=[common],
                                  help="extension to permutations")
-    qis_ext.add_argument("--k", type=int, required=True)
     qis_ext.add_argument("--n", type=int, required=True)
-    qis_ext.add_argument("--theta", type=float, default=0.8)
 
     qperm = sub.add_parser("qperm", help="magic unitary checks")
     qperm_sub = qperm.add_subparsers(dest="sub", required=True)
@@ -252,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
 
     command = {
         "nc": cmd_nc, "qperm": cmd_qperm_magic, "inv": cmd_inv, "wg": cmd_wg,
-        "qis": cmd_qis_relations if args.sub == "relations" else cmd_qis_extend,
+        "qis": cmd_qis,
         "suite": lambda args, config: run_all(config),
     }[args.command]  # argparse admits only these
     try:

@@ -346,7 +346,7 @@ def check_bvalued_spreadable(seq, rep: Representation, words, tolerance: float =
                   seq.moment, np.kron, lambda a: max(abs(x) for x in a.flat)).report()
 
 
-def suite_words(law, max_targets: int, max_len: int, with_powers: bool = True):
+def suite_words(law, max_targets: int, max_len: int):
     """All plain words with indices in [1..max_targets] up to length max_len,
     plus a leading-square power variant of each length.
 
@@ -358,32 +358,31 @@ def suite_words(law, max_targets: int, max_len: int, with_powers: bool = True):
         inserts = tuple(law.unit() for _ in range(m + 1))
         for idx in itertools.product(range(1, max_targets + 1), repeat=m):
             words.append(Word(idx, inserts, (1,) * m))
-        if with_powers:
-            for idx in itertools.product(range(1, max_targets + 1), repeat=m):
-                words.append(Word(idx, inserts, (2,) + (1,) * (m - 1)))
+        for idx in itertools.product(range(1, max_targets + 1), repeat=m):
+            words.append(Word(idx, inserts, (2,) + (1,) * (m - 1)))
     return words
 
 
-def spot_words(law, max_targets: int, length: int, seed: int, count: int = 6):
+def spot_words(law, max_targets: int, length: int, seed: int):
     """Seeded random plain words of one fixed length, for float spot checks
     beyond the exhaustive suite range."""
     rng = np.random.default_rng(seed)
     inserts = tuple(law.unit() for _ in range(length + 1))
     words = []
-    for _ in range(count):
+    for _ in range(6):
         idx = tuple(int(v) for v in rng.integers(1, max_targets + 1, size=length))
         words.append(Word(idx, inserts, (1,) * length))
     return words
 
 
-def random_insert_words(law, max_targets: int, max_len: int, seed: int, per_length: int = 4):
+def random_insert_words(law, max_targets: int, max_len: int, seed: int):
     """Seeded words with random B-element inserts, for the operator-valued
     checks."""
     rng = np.random.default_rng(seed)
     words = []
     for m in range(1, max_len + 1):
         tuples = list(itertools.product(range(1, max_targets + 1), repeat=m))
-        for _ in range(min(per_length, len(tuples))):
+        for _ in range(min(4, len(tuples))):
             idx = tuples[int(rng.integers(len(tuples)))]
             inserts = tuple(law.random_element(rng) for _ in range(m + 1))
             words.append(Word(idx, inserts, (1,) * m))

@@ -29,15 +29,6 @@ def is_exact(a: np.ndarray) -> bool:
     return a.dtype == object
 
 
-def rational_matrix(entries) -> np.ndarray:
-    """Object-dtype matrix with every entry coerced to Fraction."""
-    arr = np.array(entries, dtype=object)
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = Fraction(arr[idx])
-    return out
-
-
 def rational_eye(n: int) -> np.ndarray:
     """Exact identity, of Python ints."""
     out = rational_zeros(n)
@@ -163,20 +154,20 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (z + dagger(z)) / 2
 
 
-def random_rational_symmetric(n: int, rng: np.random.Generator, span: int = 3) -> np.ndarray:
+def random_rational_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of small random Fractions (exact self-adjoint)."""
     out = rational_zeros(n)
     for i in range(n):
         for j in range(i, n):
-            value = Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4)))
+            value = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
             out[i, j] = value
             out[j, i] = value
     return out
 
 
-def random_rational_matrix(n: int, m: int, rng: np.random.Generator, span: int = 3) -> np.ndarray:
+def random_rational_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     out = rational_zeros(n, m)
     for i in range(n):
         for j in range(m):
-            out[i, j] = Fraction(int(rng.integers(-span, span + 1)), int(rng.integers(1, 4)))
+            out[i, j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
     return out

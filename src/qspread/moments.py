@@ -115,10 +115,10 @@ class ScalarLaw:
         return abs(a - b)
 
 
-def semicircular_law(max_order: int = CATALAN_CAP) -> ScalarLaw:
+def semicircular_law() -> ScalarLaw:
     """Standard semicircular moments: Catalan numbers at even orders."""
     moments: list[Fraction] = []
-    for p in range(max_order + 1):
+    for p in range(CATALAN_CAP + 1):
         if p % 2:
             moments.append(Fraction(0))
         else:
@@ -294,7 +294,6 @@ class FreeSequence:
     def __init__(self, law, cache: MobiusCache | None = None):
         self.law = law
         self.cache = cache or default_cache()
-        self.exact = law.exact
         self._memo: dict = {}
 
     def moment(self, word: Word):
@@ -328,9 +327,6 @@ class IndependentSequence:
             if not ms or ms[0] != 1:
                 raise ValueError(f"moment list for index {i} must start with 1")
         self.kernel_invariant = len({tuple(ms) for ms in self.laws.values()}) == 1
-        self.exact = all(
-            isinstance(v, (int, Fraction)) for ms in self.laws.values() for v in ms
-        )
 
     def moment(self, word: Word):
         degrees: dict[int, int] = {}

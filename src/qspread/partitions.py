@@ -171,25 +171,6 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition._of(kernel_rgs(zip(p.rgs, q.rgs)))
 
 
-def join(p: Partition, q: Partition) -> Partition:
-    """Least common coarsening in P(m) (transitive closure of p union q)."""
-    if p.m != q.m:
-        raise GroundSetError(f"ground sets differ: {p.m} vs {q.m}")
-    parent = list(range(p.m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (p, q):
-        for block in part.blocks:
-            for x in block[1:]:
-                parent[find(x)] = find(block[0])
-    return Partition._of(kernel_rgs([find(x) for x in range(1, p.m + 1)]))
-
-
 def nesting_plan(part: Partition) -> tuple:
     """The nesting tree of a non-crossing partition, as the plan of {1..m}.
 
@@ -227,25 +208,25 @@ def enumerate_all(m: int) -> Iterator[Partition]:
     return map(Partition._of, strings)
 
 
-def enumerate_nc(m: int, limit: int = NC_ENUMERATION_LIMIT) -> list[Partition]:
+def enumerate_nc(m: int) -> list[Partition]:
     """All non-crossing partitions of {1..m}, canonical, no duplicates.
 
     For m = 0 the list holds the single empty partition.  Built directly by
     choosing the block of the least element and filling the gaps it leaves,
     so nothing is enumerated and thrown away (see ``_extend_nc_strings``).
     """
-    return list(map(Partition._of, _extend_nc_strings([[()]], m, limit)[m]))
+    return list(map(Partition._of, _extend_nc_strings([[()]], m)[m]))
 
 
-def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int, limit: int) -> list:
+def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
     """Extend ``strings``, the RGS lists of NC(0), NC(1), ..., up to NC(m):
     for each choice of the mates of 1 (by number, then lexicographically),
     the product of the gaps' lists, each gap's labels shifted past the blocks
     already placed, so blocks come out by increasing minimum."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > limit:
-        raise ValueError(f"m={m} exceeds enumeration limit {limit}")
+    if m > NC_ENUMERATION_LIMIT:
+        raise ValueError(f"m={m} exceeds enumeration limit {NC_ENUMERATION_LIMIT}")
     while len(strings) <= m:
         size, out = len(strings), []
         for r in range(size):
@@ -269,18 +250,17 @@ def catalan(m: int) -> int:
 
 
 class MobiusCache:
-    """The one context object, for NC(m) with m up to ``limit``: NC(m) per m,
-    built from the RGS strings of the smaller sizes, with its tables and, for
-    m <= ORDER_M_MAX, its order matrix; per RGS, the NC elements below a
-    partition (crossing or not) in the order of NC(m); the Mobius memo; and
-    the state memos of ``weingarten``.
+    """The one context object, for NC(m) with m up to NC_ENUMERATION_LIMIT:
+    NC(m) per m, built from the RGS strings of the smaller sizes, with its
+    tables and, for m <= ORDER_M_MAX, its order matrix; per RGS, the NC
+    elements below a partition (crossing or not) in the order of NC(m); the
+    Mobius memo; and the state memos of ``weingarten``.
 
     Fill is single-threaded on demand; afterwards reads are lookups into
     plain dicts and arrays, safe to share.
     """
 
-    def __init__(self, limit: int = NC_ENUMERATION_LIMIT):
-        self.limit = limit
+    def __init__(self):
         self._strings: list[list[tuple[int, ...]]] = [[()]]  # RGS of NC(0), NC(1), ...
         self._nc: dict[int, tuple[Partition, ...]] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -293,7 +273,7 @@ class MobiusCache:
     def nc(self, m: int) -> tuple[Partition, ...]:
         """The non-crossing partitions of {1..m} (cached)."""
         if m not in self._nc:
-            _extend_nc_strings(self._strings, m, self.limit)
+            _extend_nc_strings(self._strings, m)
             self._nc[m] = tuple(map(Partition._of, self._strings[m]))
         return self._nc[m]
 
@@ -372,16 +352,14 @@ def _block_cycles(blocks, step: int) -> list[int]:
     return nxt
 
 
-_DEFAULT_CACHE = MobiusCache()
-
-
 def default_cache() -> MobiusCache:
-    return _DEFAULT_CACHE
+    """A fresh cache, for a caller that passes none: no memo outlives a call."""
+    return MobiusCache()
 
 
 def mobius(s: Partition, p: Partition, cache: MobiusCache | None = None) -> int:
     """Exact Mobius value mu(s, p) of the non-crossing lattice."""
-    return (cache or _DEFAULT_CACHE).mobius(s, p)
+    return (cache or default_cache()).mobius(s, p)
 
 
 def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Partition, int]:
@@ -392,7 +370,7 @@ def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Parti
     x(full) = 1, each sum over the up-set of p in the order matrix.  Used as
     a cross-check oracle.
     """
-    cache = cache or _DEFAULT_CACHE
+    cache = cache or default_cache()
     elems, order = cache.nc(m), cache.order(m)
     column = [0] * len(elems)
     for i in sorted(range(len(elems)), key=lambda i: elems[i].size()):  # coarser first
@@ -411,7 +389,7 @@ def zeta_inverse_table(
     matrix of ``MobiusCache.order``, held as ints: a pivot of 1 needs no
     scaling, and a Fraction would appear only at another pivot.
     """
-    cache = cache or _DEFAULT_CACHE
+    cache = cache or default_cache()
     elems, order = cache.nc(m), cache.order(m).tolist()
     size = len(elems)
     aug = [[int(v) for v in order[r]] + [int(r == c) for c in range(size)]

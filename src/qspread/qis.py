@@ -33,6 +33,7 @@ from .linalg import (
 from .reports import CheckReport, ResidualTracker
 
 DEFAULT_REP_TOLERANCE = 1e-9
+INCREASING_N_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,12 @@ class IncreasingSequence:
             raise ValueError("values must be strictly increasing")
 
 
-def enumerate_increasing(k: int, n: int, limit: int = 16) -> list[IncreasingSequence]:
+def enumerate_increasing(k: int, n: int) -> list[IncreasingSequence]:
     """All C(n, k) increasing sequences, lexicographically."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k} n={n}")
-    if n > limit:
-        raise ValueError(f"n={n} exceeds limit {limit}")
+    if n > INCREASING_N_MAX:
+        raise ValueError(f"n={n} exceeds limit {INCREASING_N_MAX}")
     return [
         IncreasingSequence(k, n, combo)
         for combo in itertools.combinations(range(1, n + 1), k)

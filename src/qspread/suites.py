@@ -7,6 +7,7 @@ seed with fixed offsets, so identical configs give identical report streams
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .moments import (
     semicircular_law,
 )
 from .partitions import (
+    NC_ENUMERATION_LIMIT,
     MobiusCache,
     Partition,
     catalan,
@@ -112,8 +114,17 @@ NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
 # run above 256).
 # The kernel_sums, psi and positivity caps are the direct-call budgets of
 # their checks, read from there; m_max bounds the sweep over all n! reps.
+# The other sweep sizes, by the same rule (theta_count stepped by a factor of
+# 2, the rest by 1): nc.m_max is the enumeration limit (1.8 s against
+# criterion 1's 5 s); roundtrip 10.8 s and 15.7 s (one step above, 68 s and
+# 81 s) against criterion 3's 30 s; relations 5.1 s and 4.0 s (11.1 s and
+# 11.4 s) against criterion 4's 10 s; extension 21.5 s and 15.2 s (48 s and
+# 36 s) against criterion 5's 30 s.
 WORK_CAPS = {
-    "nc": NC_M_CAPS,
+    "nc": {**NC_M_CAPS, "m_max": NC_ENUMERATION_LIMIT},
+    "roundtrip": {"scalar_m_max": 9, "matrix_m_max": 9},
+    "relations": {"theta_count": 10_000, "classical_n_max": 10},
+    "extension": {"theta_count": 10_000, "classical_n_max": 11},
     "kernel_sums": {"n_max": KERNEL_SUMS_CAPS["k"], "m_max": 5,
                     "quantum_m_max": KERNEL_SUMS_CAPS["max_len"]},
     "exchangeable": {"max_word_len": 8, "extended_word_len": 7, "spot_length": 9},
@@ -134,7 +145,8 @@ class ConfigError(ValueError):
 
 
 def merge_config(overrides: dict | None) -> dict:
-    """DEFAULT_CONFIG with ``overrides`` merged in, key by key.
+    """DEFAULT_CONFIG with ``overrides`` merged in, key by key, as a copy
+    that shares no dict with DEFAULT_CONFIG.
 
     Every key must exist in DEFAULT_CONFIG, with a value of the default's
     type (an int passes for a float, a bool never for a number); only the
@@ -162,7 +174,7 @@ def merge_config(overrides: dict | None) -> dict:
 
     if not isinstance(overrides or {}, dict):
         raise ConfigError("the config must be a JSON object")
-    merged = deep(DEFAULT_CONFIG, overrides or {}, "")
+    merged = deep(copy.deepcopy(DEFAULT_CONFIG), overrides or {}, "")
     for section, caps in WORK_CAPS.items():
         for key, cap in caps.items():
             if merged[section][key] > cap:
@@ -309,14 +321,6 @@ def _angles(count: int, seed: int) -> list[float]:
     return [float(t) for t in rng.uniform(0.05, np.pi / 2 - 0.05, size=count)]
 
 
-def classical_extension_case(l) -> int:
-    """The largest entry gap between the extension of the classical point of
-    ``l`` and the permutation matrix of ``extend_to_permutation(l)``."""
-    extended = quantum_extension(classical_point_rep(l), tolerance=0)
-    expected = permutation_rep(extend_to_permutation(l))
-    return max(abs(extended.gens[key][0, 0] - expected.gens[key][0, 0]) for key in expected.gens)
-
-
 def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     cfg = config["relations"]
     tol = config["tolerances"]["relations"]
@@ -363,7 +367,11 @@ def extension_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     for n in range(1, cfg["classical_n_max"] + 1):
         for k in range(1, n + 1):
             for l in enumerate_increasing(k, n):
-                tracker.add(("point", k, n, list(l.values)), classical_extension_case(l))
+                extended = quantum_extension(classical_point_rep(l), tolerance=0)
+                expected = permutation_rep(extend_to_permutation(l))
+                gap = max(abs(extended.gens[key][0, 0] - expected.gens[key][0, 0])
+                          for key in expected.gens)
+                tracker.add(("point", k, n, list(l.values)), gap)
     reports.append(tracker.report())
 
     tracker = ResidualTracker(
@@ -436,8 +444,8 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
 
     scalar_law = seq.law if isinstance(seq, FreeSequence) else semicircular_law()
     words2 = suite_words(scalar_law, max_targets=2, max_len=cfg["max_word_len"])
-    if cfg.get("spot_length", 5) > cfg["max_word_len"]:
-        words2 += spot_words(scalar_law, 2, cfg.get("spot_length", 5), seed + 17)
+    if cfg["spot_length"] > cfg["max_word_len"]:
+        words2 += spot_words(scalar_law, 2, cfg["spot_length"], seed + 17)
     rep = two_point_rep(projection_pair(cfg["theta"])[1])
     reports.append(check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
         "exchangeable_projection_rep", theta=cfg["theta"],
@@ -456,7 +464,7 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
             seq, rep_p, words3, tolerance=max(tol, 0), seed=seed))
     reports.append(tracker.report())
 
-    if cfg.get("include_extended", True):
+    if cfg["include_extended"]:
         extended = quantum_extension(two_projection_rep(cfg["theta"]))
         words4 = suite_words(scalar_law, max_targets=4, max_len=cfg["extended_word_len"])
         reports.append(check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)

@@ -8,6 +8,7 @@ import pytest
 from qspread import cli
 from qspread.cli import REP_FILE_BYTES_MAX, main
 from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
+from qspread.partitions import NC_ENUMERATION_LIMIT
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
     DEFAULT_CONFIG,
@@ -17,6 +18,7 @@ from qspread.suites import (
     ConfigError,
     gram_size,
     merge_config,
+    run_section,
 )
 from qspread.weingarten import (
     ORACLE_CAPS,
@@ -86,20 +88,18 @@ class TestBasicCommands:
         assert all(r["max_residual"] == "exact-zero" for r in reports)
 
     def test_qis_relations_projection(self, capsys):
-        assert main(["qis", "relations", "--k", "2", "--n", "4",
-                     "--rep", "projection", "--theta", "0.7"]) == 0
-        (report,) = read_reports(capsys)
-        assert report["status"] == "pass"
-        assert report["params"]["theta"] == 0.7
-
-    def test_qis_relations_wrong_shape_errors(self, capsys):
-        assert main(["qis", "relations", "--k", "3", "--n", "5",
-                     "--rep", "projection"]) == 1
-        (report,) = read_reports(capsys)
-        assert report["status"] == "error"
+        assert main(["qis", "relations", "--n", "2"]) == 0
+        reports = {r["check_name"]: r for r in read_reports(capsys)}
+        assert set(reports) == {"increasing_relations_projection_family",
+                                "increasing_relations_classical_points",
+                                "increasing_relations_block_family"}
+        projection = reports["increasing_relations_projection_family"]
+        assert projection["status"] == "pass"
+        assert projection["params"]["theta_count"] == DEFAULT_CONFIG["relations"]["theta_count"]
+        assert reports["increasing_relations_classical_points"]["params"]["n_max"] == 2
 
     def test_qis_extend(self, capsys):
-        assert main(["qis", "extend", "--k", "2", "--n", "4"]) == 0
+        assert main(["qis", "extend", "--n", "4"]) == 0
         reports = read_reports(capsys)
         names = {r["check_name"] for r in reports}
         assert names == {"extension_classical_points", "extension_magic_unitary"}
@@ -129,6 +129,40 @@ class TestBasicCommands:
         assert main(["config"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == merge_config(None) == merge_config(DEFAULT_CONFIG)
+
+
+class TestQisSubcommands:
+    """``qis relations`` and ``qis extend`` run the ``relations`` and
+    ``extension`` suite sections with ``--n`` as their classical_n_max."""
+
+    SUBCOMMANDS = [("relations", "relations", "increasing_relations_classical_points"),
+                   ("extend", "extension", "extension_classical_points")]
+
+    @pytest.mark.parametrize("sub, section, classical", SUBCOMMANDS)
+    def test_lines_equal_the_section_under_the_override(self, tmp_path, capsys, sub, section,
+                                                         classical):
+        path = write_config(tmp_path, TRIMMED)
+        assert main(["qis", sub, "--n", "3", "--config", path]) == 0
+        got = read_reports(capsys)
+        config = merge_config({**TRIMMED, section: {**TRIMMED[section], "classical_n_max": 3}})
+        want = [report.to_json_dict() for report in run_section(section, config)]
+        for row in got + want:
+            row.pop("runtime_ms")
+        assert got == want
+        assert next(r for r in got if r["check_name"] == classical)["params"]["n_max"] == 3
+
+    @pytest.mark.parametrize("sub, section, classical", SUBCOMMANDS)
+    def test_no_classical_points_fails(self, capsys, sub, section, classical):
+        assert main(["qis", sub, "--n", "0"]) == 1
+        report = next(r for r in read_reports(capsys) if r["check_name"] == classical)
+        assert report["status"] == "fail" and report["witness"] == ["no cases examined"]
+
+    @pytest.mark.parametrize("sub, section, classical", SUBCOMMANDS)
+    def test_over_the_cap_is_2(self, capsys, sub, section, classical):
+        cap = WORK_CAPS[section]["classical_n_max"]
+        assert main(["qis", sub, "--n", str(cap + 1)]) == 2
+        out = capsys.readouterr()
+        assert f"'{section}.classical_n_max'" in out.err and out.out == ""
 
 
 class TestExitCodes:
@@ -310,6 +344,21 @@ class TestConfigValidation:
         code, out = self.run_config(tmp_path, capsys, [1, 2])
         assert code == 2 and "object" in out.err
 
+    def test_merged_config_shares_no_dict_with_the_defaults(self):
+        def dicts(config):
+            yield config
+            for value in config.values():
+                if isinstance(value, dict):
+                    yield from dicts(value)
+
+        changed = merge_config(None)
+        changed["nc"]["m_max"] = 3
+        changed["relations"]["block"]["dim"] = 5
+        fresh = merge_config(None)
+        assert fresh["nc"]["m_max"] == 10 and fresh["relations"]["block"]["dim"] == 2
+        shared = {id(d) for d in dicts(DEFAULT_CONFIG)}
+        assert not shared & {id(d) for d in dicts(merge_config({"nc": {"m_max": 4}}))}
+
     def test_int_accepted_for_float_and_law_is_free_form(self, tmp_path, capsys):
         code, out = self.run_config(
             tmp_path, capsys,
@@ -375,6 +424,14 @@ class TestWorkBudgets:
     def test_kernel_sums_over_each_cap_is_2(self, tmp_path, capsys):
         self.over_each_cap_is_2("kernel_sums", tmp_path, capsys)
 
+    def test_sweep_sizes_at_and_over_each_cap(self, tmp_path, capsys):
+        for section in ("nc", "roundtrip", "relations", "extension"):
+            for key, cap in WORK_CAPS[section].items():
+                assert merge_config({section: {key: cap}})[section][key] == cap
+            self.over_each_cap_is_2(section, tmp_path, capsys)
+        assert main(["nc", "enumerate", "--m", str(WORK_CAPS["nc"]["m_max"] + 1)]) == 2
+        assert "'nc.m_max'" in capsys.readouterr().err
+
     def test_invariance_word_lengths_over_each_cap_are_2(self, tmp_path, capsys):
         for section in ("exchangeable", "spreadable", "bvalued"):
             self.over_each_cap_is_2(section, tmp_path, capsys)
@@ -419,6 +476,7 @@ class TestDirectCallBudgets:
         assert WORK_CAPS["kernel_sums"]["n_max"] == KERNEL_SUMS_CAPS["k"]
         assert WORK_CAPS["kernel_sums"]["quantum_m_max"] == KERNEL_SUMS_CAPS["max_len"]
         assert WORK_CAPS["psi"] == ORACLE_CAPS
+        assert WORK_CAPS["nc"]["m_max"] == NC_ENUMERATION_LIMIT
         assert WORK_CAPS["positivity"]["max_len"] == POSITIVITY_CAPS["max_len"]
         assert GRAM_SIZE_CAP == POSITIVITY_CAPS["gram_size"]
 

@@ -18,7 +18,6 @@ from qspread.linalg import (
     random_rational_symmetric,
     random_unitary,
     rational_eye,
-    rational_matrix,
     rational_zeros,
     residual_norm,
 )
@@ -164,13 +163,8 @@ class TestHelpers:
         u = random_unitary(5, np.random.default_rng(2))
         assert residual_norm(u @ dagger(u) - np.eye(5)) < 1e-12
 
-    def test_rational_matrix_coercion(self):
-        m = rational_matrix([[1, "1/2"], [0, 2]])
-        assert m[0, 1] == Fraction(1, 2)
-        assert is_exact(m)
-
     def test_residual_norm_exact_zero(self):
-        z = rational_matrix([[0, 0], [0, 0]])
+        z = rational_zeros(2)
         assert residual_norm(z) == 0
         assert isinstance(residual_norm(z), Fraction)
 

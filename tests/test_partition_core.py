@@ -26,7 +26,6 @@ from qspread.partitions import (
     Partition,
     enumerate_all,
     enumerate_nc,
-    join,
     kernel,
     leq,
     meet,
@@ -342,10 +341,10 @@ class TestProperties:
             assert p == q
         if leq(p, q) and leq(q, r):
             assert leq(p, r)
-        # a chain built by joins, so the premise of transitivity holds
-        pq = join(p, q)
-        pqr = join(pq, r)
-        assert leq(p, pq) and leq(pq, pqr) and leq(p, pqr)
+        # a chain built by meets, so the premise of transitivity holds
+        pq = meet(p, q)
+        pqr = meet(pq, r)
+        assert leq(pqr, pq) and leq(pq, p) and leq(pqr, p)
         assert leq(p, q) == all(
             len({q.block_index(x) for x in block}) == 1 for block in p.blocks)
 

@@ -10,9 +10,9 @@ from qspread.partitions import (
     OrderError,
     Partition,
     catalan,
+    default_cache,
     enumerate_all,
     enumerate_nc,
-    join,
     kernel,
     leq,
     meet,
@@ -100,7 +100,7 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(ValueError):
             enumerate_nc(13)
-        assert len(enumerate_nc(11, limit=11)) == catalan(11)
+        assert len(enumerate_nc(11)) == catalan(11)
 
 
 class TestNoncrossing:
@@ -167,13 +167,6 @@ class TestMeet:
         for p in elems:
             for q in elems:
                 assert meet(p, q).is_noncrossing()
-
-    def test_join_upper_bound(self):
-        elems = enumerate_nc(4)
-        for p in elems:
-            for q in elems:
-                j = join(p, q)
-                assert leq(p, j) and leq(q, j)
 
 
 class TestKernel:
@@ -250,3 +243,23 @@ class TestMobius:
             assert column[bottom] == cache.mobius(bottom, top)
             # classical sign pattern for the full interval
             assert column[bottom] == (-1) ** (m - 1) * catalan(m - 1)
+
+
+class TestNoModuleState:
+    def test_no_module_holds_a_cache_at_import(self):
+        import importlib
+        import pkgutil
+
+        import qspread
+
+        for info in pkgutil.iter_modules(qspread.__path__):
+            module = importlib.import_module(f"qspread.{info.name}")
+            assert not any(isinstance(v, MobiusCache) for v in vars(module).values()), info.name
+        assert default_cache() is not default_cache()
+
+    def test_calls_without_a_cache_leave_nothing_behind(self):
+        p = Partition.full(4)
+        assert mobius(Partition.singletons(4), p) == -5
+        assert zeta_inverse_table(3) == zeta_inverse_table(3, MobiusCache())
+        assert mobius_column_oracle(3) == mobius_column_oracle(3, MobiusCache())
+        assert default_cache()._mu == {}
