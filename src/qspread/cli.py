@@ -4,11 +4,11 @@ Every subcommand runs one or more named checks and emits one JSON object per
 check, either to stdout or to ``--out``.  Exit status: 0 when every check
 passes, 1 when any check fails or errors, 2 on usage errors.
 
-Each check has one definition, in ``qspread.suites``: the ``nc``, ``qis``,
-``inv`` and ``wg`` subcommands run suite sections, their flags merged into
-the config as overrides.  ``qis relations --n N`` is the ``relations``
-section and ``qis extend --n N`` the ``extension`` section, each with
-``classical_n_max = N``.  One angle of the two-projection family is
+Each check has one definition, in ``qspread.suites``.  Every section
+subcommand is one row of ``SUBCOMMANDS``: the suite sections it runs and the
+config key each of its flags overrides.  A flag left out keeps the config's
+value, so the runner has no defaults of its own.  ``qperm magic`` checks one
+representation spec instead; one angle of the two-projection family is
 ``qperm magic --rep extended:theta=...``, whose extension checks the
 increasing relations first.
 
@@ -24,21 +24,11 @@ import os
 import sys
 
 from .partitions import MobiusCache
-from .qis import (
-    quantum_extension,
-    rep_from_json,
-    two_projection_rep,
-)
+from .qis import quantum_extension, rep_from_json, two_projection_rep
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .linalg import projection_pair
 from .reports import CheckReport
-from .suites import (
-    merge_config,
-    mobius_checks,
-    nc_count_checks,
-    run_all,
-    run_section,
-)
+from .suites import merge_config, run_all, run_section
 
 CONFIG_ENV_VAR = "QSPREAD_CONFIG"
 # Size budget of a representation file: n = 16 and dim = 16, every entry
@@ -93,23 +83,44 @@ def emit(reports: list[CheckReport], out_path: str | None) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_nc(args, config) -> list[CheckReport]:
+# Every section subcommand: (command, sub) -> (the suite sections it runs,
+# None for the whole suite as run_all sorts it; {flag: the dotted config key
+# the flag overrides}).
+SUBCOMMANDS = {
+    ("nc", "enumerate"): (("nc",), {"m": "nc.m_max"}),
+    ("nc", "mobius"): (("mobius",), {"m": "nc.mobius_m_max"}),
+    ("qis", "relations"): (("relations",), {"n": "relations.classical_n_max"}),
+    ("qis", "extend"): (("extension",), {"n": "extension.classical_n_max"}),
+    ("inv", "exchangeable"): (("exchangeable",), {}),
+    ("inv", "spreadable"): (("spreadable", "bvalued"), {}),
+    ("wg", "psi"): (("psi",), {"k": "psi.k_max", "n": "psi.n_max", "mmax": "psi.m_max"}),
+    ("wg", "reconstruct"): (("reconstruction",), {}),
+    ("suite", "all"): (None, {}),
+}
+COMMAND_HELP = {
+    "nc": "non-crossing partition checks",
+    "qis": "quantum increasing sequence checks",
+    "inv": "distributional invariance checks",
+    "wg": "state moments and reconstruction",
+    "suite": "run whole check batteries",
+}
+
+
+def run_subcommand(args, config) -> list[CheckReport]:
+    """The reports of the sections of ``args``' subcommand, on ``config``
+    with each flag given written over its key and validated again."""
+    sections, flags = SUBCOMMANDS[(args.command, args.sub)]
+    overrides = {}
+    for flag, key in flags.items():
+        if getattr(args, flag) is not None:
+            section, leaf = key.split(".")
+            overrides.setdefault(section, dict(config[section]))[leaf] = getattr(args, flag)
+    if overrides:
+        config = merge_config({**config, **overrides})
+    if sections is None:
+        return run_all(config)
     cache = MobiusCache()
-    if args.sub == "enumerate":
-        config = merge_config({**config, "nc": {**config["nc"], "m_max": args.m}})
-        return nc_count_checks(config, cache)
-    config = merge_config(
-        {**config, "nc": {**config["nc"], "mobius_m_max": args.m,
-                          "zeta_m_max": min(args.m, config["nc"]["zeta_m_max"]),
-                          "column_m_max": max(args.m, config["nc"]["column_m_max"])}}
-    )
-    return mobius_checks(config, cache)
-
-
-def cmd_qis(args, config) -> list[CheckReport]:
-    section = "relations" if args.sub == "relations" else "extension"
-    config = merge_config({**config, section: {**config[section], "classical_n_max": args.n}})
-    return run_section(section, config)
+    return [report for name in sections for report in run_section(name, config, cache)]
 
 
 def cmd_qperm_magic(args, config) -> list[CheckReport]:
@@ -118,22 +129,6 @@ def cmd_qperm_magic(args, config) -> list[CheckReport]:
     report = check_magic_unitary(rep, tolerance=tol)
     report.params["rep"] = args.rep
     return [report]
-
-
-def cmd_inv(args, config) -> list[CheckReport]:
-    cache = MobiusCache()
-    if args.sub == "exchangeable":
-        return run_section("exchangeable", config, cache)
-    return run_section("spreadable", config, cache) + run_section("bvalued", config, cache)
-
-
-def cmd_wg(args, config) -> list[CheckReport]:
-    if args.sub == "psi":
-        config = merge_config(
-            {**config, "psi": {"k_max": args.k, "n_max": args.n, "m_max": args.mmax}}
-        )
-        return run_section("psi", config)
-    return run_section("reconstruction", config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,50 +142,23 @@ def build_parser() -> argparse.ArgumentParser:
         "calculus, free cumulants, and quantum symmetry representations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    nc = sub.add_parser("nc", help="non-crossing partition checks")
-    nc_sub = nc.add_subparsers(dest="sub", required=True)
-    nc_enum = nc_sub.add_parser("enumerate", parents=[common],
-                                help="counts vs Catalan recurrence")
-    nc_enum.add_argument("--m", type=int, required=True)
-    nc_mob = nc_sub.add_parser("mobius", parents=[common],
-                               help="Mobius function identities")
-    nc_mob.add_argument("--m", type=int, required=True)
-
-    qis = sub.add_parser("qis", help="quantum increasing sequence checks")
-    qis_sub = qis.add_subparsers(dest="sub", required=True)
-    qis_rel = qis_sub.add_parser("relations", parents=[common],
-                                 help="defining-relation residuals")
-    qis_rel.add_argument("--n", type=int, required=True)
-    qis_ext = qis_sub.add_parser("extend", parents=[common],
-                                 help="extension to permutations")
-    qis_ext.add_argument("--n", type=int, required=True)
+    groups = {}
+    for (command, name), (sections, flags) in SUBCOMMANDS.items():
+        if command not in groups:
+            groups[command] = sub.add_parser(command, help=COMMAND_HELP[command]) \
+                .add_subparsers(dest="sub", required=True)
+        subcommand = groups[command].add_parser(
+            name, parents=[common], help="suite sections: " + ", ".join(sections or ("all",)))
+        for flag, key in flags.items():
+            subcommand.add_argument(f"--{flag}", type=int, help=f"overrides {key}")
 
     qperm = sub.add_parser("qperm", help="magic unitary checks")
-    qperm_sub = qperm.add_subparsers(dest="sub", required=True)
-    qperm_magic = qperm_sub.add_parser("magic", parents=[common])
+    qperm_magic = qperm.add_subparsers(dest="sub", required=True).add_parser(
+        "magic", parents=[common])
     qperm_magic.add_argument("--rep", required=True,
                              help="permutation:2,1 | projection:theta=0.8 | "
                                   "extended:theta=0.8 | path.json")
     qperm_magic.add_argument("--tolerance", type=float)
-
-    inv = sub.add_parser("inv", help="distributional invariance checks")
-    inv_sub = inv.add_subparsers(dest="sub", required=True)
-    inv_sub.add_parser("exchangeable", parents=[common])
-    inv_sub.add_parser("spreadable", parents=[common])
-
-    wg = sub.add_parser("wg", help="state moments and reconstruction")
-    wg_sub = wg.add_subparsers(dest="sub", required=True)
-    wg_psi = wg_sub.add_parser("psi", parents=[common],
-                               help="closed form vs freeness oracle")
-    wg_psi.add_argument("--k", type=int, default=3)
-    wg_psi.add_argument("--n", type=int, default=3)
-    wg_psi.add_argument("--mmax", type=int, default=4)
-    wg_sub.add_parser("reconstruct", parents=[common])
-
-    suite = sub.add_parser("suite", help="run whole check batteries")
-    suite_sub = suite.add_subparsers(dest="sub", required=True)
-    suite_sub.add_parser("all", parents=[common])
 
     sub.add_parser("config", parents=[common],
                    help="print the effective configuration")
@@ -213,11 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(config, indent=2, sort_keys=True))
         return 0
 
-    command = {
-        "nc": cmd_nc, "qperm": cmd_qperm_magic, "inv": cmd_inv, "wg": cmd_wg,
-        "qis": cmd_qis,
-        "suite": lambda args, config: run_all(config),
-    }[args.command]  # argparse admits only these
+    command = cmd_qperm_magic if args.command == "qperm" else run_subcommand
     try:
         reports = command(args, config)
     except (FileNotFoundError, ValueError) as exc:

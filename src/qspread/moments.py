@@ -33,8 +33,12 @@ from .linalg import (
     residual_norm,
 )
 from .partitions import MobiusCache, Partition, default_cache, kernel, nesting_plan
+from .reports import require_within
 
 CATALAN_CAP = 64
+# Work budget of moment_cumulant_roundtrip (see suites.WORK_CAPS): at m = 10
+# the float matrix-law check ran 80 s and failed.
+ROUNDTRIP_CAPS = {"m": 9}
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +253,9 @@ def moment_cumulant_roundtrip(
     tolerance: float = 1e-9,
     cache: MobiusCache | None = None,
 ) -> bool:
-    """Check E[word] = sum of partitioned cumulants over all of NC(m)."""
+    """Check E[word] = sum of partitioned cumulants over all of NC(m), for m
+    within ROUNDTRIP_CAPS."""
+    require_within("moment_cumulant_roundtrip", {"m": m}, ROUNDTRIP_CAPS)
     cache = cache or default_cache()
     rng = np.random.default_rng(seed)
     inserts = tuple(law.random_element(rng) for _ in range(m + 1))
@@ -305,9 +311,6 @@ class FreeSequence:
         self._memo[key] = (word.inserts, value)
         return value
 
-    def phi(self, b):
-        return self.law.phi(b)
-
     def phi_moment(self, word: Word):
         return self.law.phi(self.moment(word))
 
@@ -338,9 +341,6 @@ class IndependentSequence:
                 raise ValueError(f"no moment list for index {i}")
             value = value * self.laws[i][deg]
         return value
-
-    def phi(self, b):
-        return b
 
     def phi_moment(self, word: Word):
         return self.moment(word)

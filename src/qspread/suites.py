@@ -25,6 +25,7 @@ from .invariance import (
 )
 from .linalg import projection_pair
 from .moments import (
+    ROUNDTRIP_CAPS,
     FreeSequence,
     IndependentSequence,
     ScalarLaw,
@@ -119,17 +120,23 @@ NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
 # criterion 1's 5 s); roundtrip 10.8 s and 15.7 s (one step above, 68 s and
 # 81 s) against criterion 3's 30 s; relations 5.1 s and 4.0 s (11.1 s and
 # 11.4 s) against criterion 4's 10 s; extension 21.5 s and 15.2 s (48 s and
-# 36 s) against criterion 5's 30 s.
+# 36 s) against criterion 5's 30 s.  The block family's sizes (n with
+# dim = n, the smallest dim it admits) and the bvalued matrix law, each run
+# under a timeout at its budget: relations k, n and dim took 7.9 s, 7.8 s and
+# 9.7 s against criterion 4's 10 s; spreadable k and dim 11 s and 59 s,
+# bvalued d and D 58 s and 58 s, against 60 s.  One step above, each timed
+# out, but spreadable n = 9: its k*n = 18 rows exceed INCREASING_N_MAX.
 WORK_CAPS = {
     "nc": {**NC_M_CAPS, "m_max": NC_ENUMERATION_LIMIT},
-    "roundtrip": {"scalar_m_max": 9, "matrix_m_max": 9},
-    "relations": {"theta_count": 10_000, "classical_n_max": 10},
+    "roundtrip": {"scalar_m_max": ROUNDTRIP_CAPS["m"], "matrix_m_max": ROUNDTRIP_CAPS["m"]},
+    "relations": {"theta_count": 10_000, "classical_n_max": 10,
+                  "block": {"k": 28, "n": 78, "dim": 904}},
     "extension": {"theta_count": 10_000, "classical_n_max": 11},
     "kernel_sums": {"n_max": KERNEL_SUMS_CAPS["k"], "m_max": 5,
                     "quantum_m_max": KERNEL_SUMS_CAPS["max_len"]},
     "exchangeable": {"max_word_len": 8, "extended_word_len": 7, "spot_length": 9},
-    "spreadable": {"max_word_len": 7},
-    "bvalued": {"max_word_len": 6},
+    "spreadable": {"max_word_len": 7, "block": {"k": 6, "n": 8, "dim": 736}},
+    "bvalued": {"d": 587, "D": 625, "max_word_len": 6},
     "psi": ORACLE_CAPS,
     "reconstruction": {"m_max": 6, "n_max": 32, "unit_m_max": 6, "unit_n_max": 256},
     "positivity": {"max_len": POSITIVITY_CAPS["max_len"]},
@@ -174,12 +181,17 @@ def merge_config(overrides: dict | None) -> dict:
 
     if not isinstance(overrides or {}, dict):
         raise ConfigError("the config must be a JSON object")
-    merged = deep(copy.deepcopy(DEFAULT_CONFIG), overrides or {}, "")
-    for section, caps in WORK_CAPS.items():
+    def within(values, caps, path):
         for key, cap in caps.items():
-            if merged[section][key] > cap:
-                raise ConfigError(f"config key '{section}.{key}' must be <= {cap} "
-                                  f"(work budget), got {merged[section][key]}")
+            where = f"{path}.{key}" if path else key
+            if isinstance(cap, dict):
+                within(values[key], cap, where)
+            elif values[key] > cap:
+                raise ConfigError(f"config key '{where}' must be <= {cap} "
+                                  f"(work budget), got {values[key]}")
+
+    merged = deep(copy.deepcopy(DEFAULT_CONFIG), overrides or {}, "")
+    within(merged, WORK_CAPS, "")
     size = gram_size(**merged["positivity"])
     if size > GRAM_SIZE_CAP:
         raise ConfigError(f"config keys 'positivity.k', 'positivity.n' and "
@@ -201,7 +213,7 @@ def _parse_scalar(value):
 
 
 def build_law(spec: dict, seed: int):
-    kind = spec.get("kind", "semicircular")
+    kind = spec["kind"]
     if kind == "semicircular":
         return semicircular_law()
     if kind == "scalar_moments":
@@ -214,7 +226,7 @@ def build_law(spec: dict, seed: int):
 
 
 def build_sequence(spec: dict, seed: int, cache: MobiusCache):
-    if spec.get("kind") == "independent":
+    if spec["kind"] == "independent":
         lists = {
             int(idx): [_parse_scalar(v) for v in ms]
             for idx, ms in spec["moments"].items()
@@ -449,12 +461,12 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     rep = two_point_rep(projection_pair(cfg["theta"])[1])
     reports.append(check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
         "exchangeable_projection_rep", theta=cfg["theta"],
-        law=config["law"].get("kind", "semicircular")))
+        law=config["law"]["kind"]))
 
     tracker = ResidualTracker(
         "exchangeable_permutation_reps", 0,
         params={"n": 3, "max_word_len": min(cfg["max_word_len"], 3),
-                "law": config["law"].get("kind", "semicircular")},
+                "law": config["law"]["kind"]},
         seed=seed,
     )
     words3 = suite_words(scalar_law, max_targets=3, max_len=min(cfg["max_word_len"], 3))

@@ -8,7 +8,8 @@ import pytest
 from qspread import cli
 from qspread.cli import REP_FILE_BYTES_MAX, main
 from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
-from qspread.partitions import NC_ENUMERATION_LIMIT
+from qspread.moments import ROUNDTRIP_CAPS, moment_cumulant_roundtrip, semicircular_law
+from qspread.partitions import NC_ENUMERATION_LIMIT, MobiusCache
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
     DEFAULT_CONFIG,
@@ -18,6 +19,7 @@ from qspread.suites import (
     ConfigError,
     gram_size,
     merge_config,
+    run_all,
     run_section,
 )
 from qspread.weingarten import (
@@ -63,6 +65,27 @@ def write_config(tmp_path, overrides, name="config.json"):
 def read_reports(capsys):
     out = capsys.readouterr().out
     return [json.loads(line) for line in out.strip().splitlines() if line]
+
+
+def leaf_caps(caps, path=()):
+    """(key path, cap) of every cap in a nested dict of caps."""
+    for key, cap in caps.items():
+        if isinstance(cap, dict):
+            yield from leaf_caps(cap, path + (key,))
+        else:
+            yield path + (key,), cap
+
+
+def at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def nested(path, value):
+    for key in reversed(path):
+        value = {key: value}
+    return value
 
 
 class TestBasicCommands:
@@ -131,25 +154,72 @@ class TestBasicCommands:
         assert printed == merge_config(None) == merge_config(DEFAULT_CONFIG)
 
 
+class TestSubcommandTable:
+    """Every section subcommand emits exactly its sections' reports, with
+    each flag given written over one config key and every other value taken
+    from the config."""
+
+    # argv, the sections it runs (None: the whole suite), the override
+    ROWS = [
+        (["nc", "enumerate", "--m", "3"], ("nc",), {"nc": {"m_max": 3}}),
+        (["nc", "mobius", "--m", "3"], ("mobius",), {"nc": {"mobius_m_max": 3}}),
+        (["qis", "relations", "--n", "3"], ("relations",),
+         {"relations": {"classical_n_max": 3}}),
+        (["qis", "extend", "--n", "3"], ("extension",), {"extension": {"classical_n_max": 3}}),
+        (["inv", "exchangeable"], ("exchangeable",), {}),
+        (["inv", "spreadable"], ("spreadable", "bvalued"), {}),
+        (["wg", "psi", "--k", "1", "--n", "2", "--mmax", "2"], ("psi",),
+         {"psi": {"k_max": 1, "n_max": 2, "m_max": 2}}),
+        (["wg", "reconstruct"], ("reconstruction",), {}),
+        (["suite", "all"], None, {}),
+    ]
+
+    def test_every_row_is_covered(self):
+        assert {tuple(argv[:2]) for argv, _, _ in self.ROWS} == set(cli.SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv, sections, override", ROWS,
+                             ids=["-".join(argv[:2]) for argv, _, _ in ROWS])
+    def test_lines_equal_the_sections_under_the_override(self, tmp_path, capsys, argv,
+                                                          sections, override):
+        assert main(argv + ["--config", write_config(tmp_path, TRIMMED)]) == 0
+        got = read_reports(capsys)
+        config = merge_config({**TRIMMED, **{section: {**TRIMMED.get(section, {}), **values}
+                                             for section, values in override.items()}})
+        cache = MobiusCache()
+        reports = (run_all(config) if sections is None else
+                   [report for name in sections for report in run_section(name, config, cache)])
+        want = [report.to_json_dict() for report in reports]
+        for row in got + want:
+            row.pop("runtime_ms")
+        assert got == want and got
+
+    def test_flags_default_to_the_config(self):
+        parser = cli.build_parser()
+        for (command, sub), (_, flags) in cli.SUBCOMMANDS.items():
+            args = parser.parse_args([command, sub])
+            assert all(getattr(args, flag) is None for flag in flags), (command, sub)
+
+    def test_wg_psi_runs_the_config_file(self, tmp_path, capsys):
+        sizes = {"k_max": 2, "n_max": 2, "m_max": 2}
+        assert main(["wg", "psi", "--config", write_config(tmp_path, {"psi": sizes})]) == 0
+        sweep = next(r for r in read_reports(capsys)
+                     if r["check_name"] == "state_oracle_equivalence")
+        assert {key: sweep["params"][key] for key in sizes} == sizes
+
+    def test_nc_mobius_keeps_the_config_oracle_sizes(self, capsys):
+        assert main(["nc", "mobius", "--m", "3"]) == 0
+        sizes = {r["check_name"]: r["params"]["m_max"] for r in read_reports(capsys)}
+        assert sizes == {"mobius_identity": 3,
+                         "mobius_zeta_table": DEFAULT_CONFIG["nc"]["zeta_m_max"],
+                         "mobius_column_oracle": DEFAULT_CONFIG["nc"]["column_m_max"]}
+
+
 class TestQisSubcommands:
     """``qis relations`` and ``qis extend`` run the ``relations`` and
     ``extension`` suite sections with ``--n`` as their classical_n_max."""
 
     SUBCOMMANDS = [("relations", "relations", "increasing_relations_classical_points"),
                    ("extend", "extension", "extension_classical_points")]
-
-    @pytest.mark.parametrize("sub, section, classical", SUBCOMMANDS)
-    def test_lines_equal_the_section_under_the_override(self, tmp_path, capsys, sub, section,
-                                                         classical):
-        path = write_config(tmp_path, TRIMMED)
-        assert main(["qis", sub, "--n", "3", "--config", path]) == 0
-        got = read_reports(capsys)
-        config = merge_config({**TRIMMED, section: {**TRIMMED[section], "classical_n_max": 3}})
-        want = [report.to_json_dict() for report in run_section(section, config)]
-        for row in got + want:
-            row.pop("runtime_ms")
-        assert got == want
-        assert next(r for r in got if r["check_name"] == classical)["params"]["n_max"] == 3
 
     @pytest.mark.parametrize("sub, section, classical", SUBCOMMANDS)
     def test_no_classical_points_fails(self, capsys, sub, section, classical):
@@ -406,54 +476,53 @@ class TestWorkBudgets:
     def test_caps_admit_the_defaults_and_match_the_schema(self):
         schema = json.loads((Path(__file__).parents[1] / "docs" / "config.schema.json")
                             .read_text())["properties"]
-        for section, caps in WORK_CAPS.items():
-            for key, cap in caps.items():
-                assert DEFAULT_CONFIG[section][key] <= cap, (section, key)
-                assert schema[section]["properties"][key]["maximum"] == cap, (section, key)
+        for path, cap in leaf_caps(WORK_CAPS):
+            assert at(DEFAULT_CONFIG, path) <= cap, path
+            properties = at(schema, [part for key in path[:-1] for part in (key, "properties")])
+            assert properties[path[-1]]["maximum"] == cap, path
         assert gram_size(**DEFAULT_CONFIG["positivity"]) <= GRAM_SIZE_CAP
         assert f"<= {GRAM_SIZE_CAP} (work budget)" in schema["positivity"]["description"]
         assert merge_config({section: dict(caps) for section, caps in WORK_CAPS.items()})
 
-    def over_each_cap_is_2(self, section, tmp_path, capsys):
-        for key, cap in WORK_CAPS[section].items():
-            path = write_config(tmp_path, {section: {key: cap + 1}})
-            assert main(["suite", "all", "--config", path]) == 2, key
+    def at_and_over_each_cap(self, section, tmp_path, capsys):
+        for path, cap in leaf_caps(WORK_CAPS[section], (section,)):
+            assert at(merge_config(nested(path, cap)), path) == cap
+            config = write_config(tmp_path, nested(path, cap + 1))
+            assert main(["suite", "all", "--config", config]) == 2, path
             out = capsys.readouterr()
-            assert f"'{section}.{key}'" in out.err and out.out == ""
+            assert f"'{'.'.join(path)}'" in out.err and out.out == ""
 
     def test_kernel_sums_over_each_cap_is_2(self, tmp_path, capsys):
-        self.over_each_cap_is_2("kernel_sums", tmp_path, capsys)
+        self.at_and_over_each_cap("kernel_sums", tmp_path, capsys)
 
     def test_sweep_sizes_at_and_over_each_cap(self, tmp_path, capsys):
         for section in ("nc", "roundtrip", "relations", "extension"):
-            for key, cap in WORK_CAPS[section].items():
-                assert merge_config({section: {key: cap}})[section][key] == cap
-            self.over_each_cap_is_2(section, tmp_path, capsys)
+            self.at_and_over_each_cap(section, tmp_path, capsys)
         assert main(["nc", "enumerate", "--m", str(WORK_CAPS["nc"]["m_max"] + 1)]) == 2
         assert "'nc.m_max'" in capsys.readouterr().err
 
     def test_invariance_word_lengths_over_each_cap_are_2(self, tmp_path, capsys):
         for section in ("exchangeable", "spreadable", "bvalued"):
-            self.over_each_cap_is_2(section, tmp_path, capsys)
+            self.at_and_over_each_cap(section, tmp_path, capsys)
         over = WORK_CAPS["spreadable"]["max_word_len"] + 1
         path = write_config(tmp_path, {"spreadable": {"max_word_len": over}})
         assert main(["inv", "spreadable", "--config", path]) == 2
         assert "'spreadable.max_word_len'" in capsys.readouterr().err
 
     def test_psi_over_each_cap_is_2(self, tmp_path, capsys):
-        self.over_each_cap_is_2("psi", tmp_path, capsys)
+        self.at_and_over_each_cap("psi", tmp_path, capsys)
         assert main(["wg", "psi", "--k", str(WORK_CAPS["psi"]["k_max"] + 1)]) == 2
         assert "'psi.k_max'" in capsys.readouterr().err
 
     def test_reconstruction_over_each_cap_is_2(self, tmp_path, capsys):
-        self.over_each_cap_is_2("reconstruction", tmp_path, capsys)
+        self.at_and_over_each_cap("reconstruction", tmp_path, capsys)
         over = WORK_CAPS["reconstruction"]["unit_n_max"] + 1
         path = write_config(tmp_path, {"reconstruction": {"unit_n_max": over}})
         assert main(["wg", "reconstruct", "--config", path]) == 2
         assert "'reconstruction.unit_n_max'" in capsys.readouterr().err
 
     def test_positivity_over_each_cap_is_2(self, tmp_path, capsys):
-        self.over_each_cap_is_2("positivity", tmp_path, capsys)
+        self.at_and_over_each_cap("positivity", tmp_path, capsys)
         n = 1  # a Gram matrix over the cap with max_len at its default
         while gram_size(2, n + 1, 2) <= GRAM_SIZE_CAP:
             n += 1
@@ -478,6 +547,8 @@ class TestDirectCallBudgets:
         assert WORK_CAPS["psi"] == ORACLE_CAPS
         assert WORK_CAPS["nc"]["m_max"] == NC_ENUMERATION_LIMIT
         assert WORK_CAPS["positivity"]["max_len"] == POSITIVITY_CAPS["max_len"]
+        assert WORK_CAPS["roundtrip"] == {"scalar_m_max": ROUNDTRIP_CAPS["m"],
+                                          "matrix_m_max": ROUNDTRIP_CAPS["m"]}
         assert GRAM_SIZE_CAP == POSITIVITY_CAPS["gram_size"]
 
     def test_kernel_sums_at_and_over_the_caps(self):
@@ -509,6 +580,16 @@ class TestDirectCallBudgets:
         with pytest.raises(ValueError, match=f"gram_size <= {gram_size(2, 1, 2)}"):
             state_positivity_evidence(3, 1, 2)
 
+
+    def test_roundtrip_at_and_over_the_cap(self, monkeypatch):
+        # m = 10 raises before the law is read
+        with pytest.raises(ValueError, match=f"m <= {ROUNDTRIP_CAPS['m']} \\(work budget\\)"):
+            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1)
+        # m = 9, the shipped cap, takes seconds, so the cap is lowered to 3
+        monkeypatch.setitem(ROUNDTRIP_CAPS, "m", 3)
+        assert moment_cumulant_roundtrip(semicircular_law(), 3)
+        with pytest.raises(ValueError, match="m <= 3"):
+            moment_cumulant_roundtrip(object(), 4)
 
     def test_magic_unitary_at_and_over_the_cap(self, monkeypatch):
         monkeypatch.setitem(MAGIC_CAPS, "n", 3)
