@@ -11,7 +11,6 @@ from .partitions import (
     kernel,
     leq,
     meet,
-    mobius,
 )
 from .linalg import BAlgebra, projection_pair, random_pvm
 from .moments import (

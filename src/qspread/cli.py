@@ -8,9 +8,9 @@ Each check has one definition, in ``qspread.suites``.  Every section
 subcommand is one row of ``SUBCOMMANDS``: the suite sections it runs and the
 config key each of its flags overrides.  A flag left out keeps the config's
 value, so the runner has no defaults of its own.  ``qperm magic`` checks one
-representation spec instead; one angle of the two-projection family is
-``qperm magic --rep extended:theta=...``, whose extension checks the
-increasing relations first.
+representation spec instead: ``permutation:i1,...,in``, ``projection`` or
+``extended`` with an optional ``:theta=<finite float>``, or a file path; an
+extension checks the increasing relations first.
 
 The configuration file is a single JSON document; missing keys fall back to
 documented defaults (see ``qspread config``).  The environment variable
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -46,22 +47,25 @@ def load_config(path: str | None) -> dict:
     return merge_config(overrides)
 
 
-def parse_rep_spec(spec: str, tolerance: float | None):
-    """Build a representation from 'permutation:2,1', 'projection:theta=0.8',
-    'extended:theta=0.8', or a JSON file path of at most REP_FILE_BYTES_MAX
-    bytes (a larger file raises ValueError before it is decoded)."""
-    if spec.startswith("permutation:"):
-        values = tuple(int(v) for v in spec.split(":", 1)[1].split(","))
-        return permutation_rep(values)
-    if spec.startswith(("projection", "extended")):
-        theta = 0.8
-        if ":" in spec:
-            body = spec.split(":", 1)[1]
-            for part in body.split(","):
-                key, _, value = part.partition("=")
-                if key == "theta":
-                    theta = float(value)
-        if spec.startswith("projection"):
+def parse_rep_spec(spec: str):
+    """Build a representation from 'permutation:2,1', 'projection' or
+    'extended' (theta 0.8), either followed by ':theta=<finite float>', or
+    a JSON file path of at most REP_FILE_BYTES_MAX bytes (a larger file
+    raises ValueError before it is decoded).  A family spec with anything
+    else after its name raises ValueError naming that part."""
+    family, colon, body = spec.partition(":")
+    if family == "permutation" and colon:
+        return permutation_rep(tuple(int(v) for v in body.split(",")))
+    if family in ("projection", "extended"):
+        key, _, value = body.partition("=")
+        try:
+            theta = float(value) if colon else 0.8
+        except ValueError:
+            theta = math.nan
+        if colon and key != "theta" or not math.isfinite(theta):
+            raise ValueError(f"rep spec {spec!r}: {family} takes only "
+                             f"':theta=<finite float>', got {colon + body!r}")
+        if family == "projection":
             return two_point_rep(projection_pair(theta)[1])
         return quantum_extension(two_projection_rep(theta))
     with open(spec, "rb") as handle:
@@ -124,7 +128,7 @@ def run_subcommand(args, config) -> list[CheckReport]:
 
 
 def cmd_qperm_magic(args, config) -> list[CheckReport]:
-    rep = parse_rep_spec(args.rep, None)
+    rep = parse_rep_spec(args.rep)
     tol = args.tolerance if args.tolerance is not None else config["tolerances"]["magic"]
     report = check_magic_unitary(rep, tolerance=tol)
     report.params["rep"] = args.rep

@@ -33,14 +33,13 @@ import numpy as np
 
 from .linalg import residual_norm
 from .moments import Word
-from .partitions import (
-    MobiusCache, Partition, default_cache, enumerate_all, kernel, leq, nesting_plan,
+from .partitions import MobiusCache, Partition, enumerate_all, kernel, leq, nesting_plan
+from .qis import (
+    DEFAULT_REP_TOLERANCE, Representation, check_increasing_relations, enumerate_increasing,
 )
-from .qis import Representation, check_increasing_relations, enumerate_increasing
 from .qperm import check_magic_unitary
 from .reports import CheckReport, ResidualTracker, require_within
 
-DEFAULT_INVARIANCE_TOLERANCE = 1e-9
 # Work budget of check_kernel_sums: the columns k of the family and the word
 # length, each bounded as the kernel_sums config caps bound them.
 KERNEL_SUMS_CAPS = {"k": 5, "max_len": 6}
@@ -48,7 +47,7 @@ KERNEL_SUMS_CAPS = {"k": 5, "max_len": 6}
 
 def _require_valid(rep: Representation, tolerance: float) -> None:
     check = check_magic_unitary if rep.kind == "permutation" else check_increasing_relations
-    report = check(rep, tolerance=max(tolerance, rep.tolerance))
+    report = check(rep, tolerance=max(tolerance, DEFAULT_REP_TOLERANCE))
     if not report.passed:
         raise ValueError(
             f"representation fails its defining relations: residual {report.max_residual}"
@@ -166,8 +165,8 @@ def kernel_constrained_sum(
 def check_kernel_sums(
     rep: Representation,
     max_len: int,
-    tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
-    cache: MobiusCache | None = None,
+    tolerance: float,
+    cache: MobiusCache,
     seed: int | None = None,
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
@@ -176,7 +175,6 @@ def check_kernel_sums(
     identically has the residual of its expected value, formed once."""
     require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
     _require_valid(rep, tolerance)
-    cache = cache or default_cache()
     tracker = ResidualTracker(
         "kernel_constrained_sums",
         tolerance,
@@ -310,16 +308,14 @@ def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, see
     return tracker
 
 
-def check_exchangeable(seq, rep: Representation, words,
-                       tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
+def check_exchangeable(seq, rep: Representation, words, tolerance: float,
                        seed: int | None = None) -> CheckReport:
     """Invariance of the scalar joint distribution under a square family."""
     return _check("quantum_exchangeable", "permutation", seq, rep, words, tolerance, seed,
                   seq.phi_moment, operator.mul, residual_norm).report()
 
 
-def check_spreadable(seq, rep: Representation, words,
-                     tolerance: float = DEFAULT_INVARIANCE_TOLERANCE,
+def check_spreadable(seq, rep: Representation, words, tolerance: float,
                      seed: int | None = None) -> CheckReport:
     """Invariance under a rectangular family, plus its classical shadow.
 
@@ -338,7 +334,7 @@ def check_spreadable(seq, rep: Representation, words,
     return tracker.report()
 
 
-def check_bvalued_spreadable(seq, rep: Representation, words, tolerance: float = 1e-8,
+def check_bvalued_spreadable(seq, rep: Representation, words, tolerance: float,
                              seed: int | None = None) -> CheckReport:
     """Operator-valued spreadability: both sides live in B tensor M_dim and
     carry the word's inserts inside the expectations."""

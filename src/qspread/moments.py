@@ -32,7 +32,7 @@ from .linalg import (
     random_rational_symmetric,
     residual_norm,
 )
-from .partitions import MobiusCache, Partition, default_cache, kernel, nesting_plan
+from .partitions import MobiusCache, Partition, kernel, nesting_plan
 from .reports import require_within
 
 CATALAN_CAP = 64
@@ -224,18 +224,13 @@ def partition_moment(law, part: Partition, word: Word):
     return _nest(law, plan, word.inserts, word.powers, word.inserts[0])
 
 
-def partition_cumulant(
-    law, part: Partition, word: Word, cache: MobiusCache | None = None,
-    moments: dict | None = None,
-):
+def partition_cumulant(law, part: Partition, word: Word, cache: MobiusCache, moments: dict):
     """Mobius inversion of the partitioned moments over NC below ``part``.
 
-    ``moments``, when given, keeps each finer partition's moment of ``word``
-    across calls on the same word."""
+    ``moments`` keeps each finer partition's moment of ``word`` across calls
+    on the same word."""
     if not part.is_noncrossing():
         raise ValueError(f"{part!r} is crossing")
-    cache = cache or default_cache()
-    moments = {} if moments is None else moments
     total = law.zero()
     for finer in cache.below(part):
         if finer not in moments:
@@ -251,12 +246,11 @@ def moment_cumulant_roundtrip(
     seed: int = 0,
     powers: Sequence[int] | None = None,
     tolerance: float = 1e-9,
-    cache: MobiusCache | None = None,
+    cache: MobiusCache,
 ) -> bool:
     """Check E[word] = sum of partitioned cumulants over all of NC(m), for m
     within ROUNDTRIP_CAPS."""
     require_within("moment_cumulant_roundtrip", {"m": m}, ROUNDTRIP_CAPS)
-    cache = cache or default_cache()
     rng = np.random.default_rng(seed)
     inserts = tuple(law.random_element(rng) for _ in range(m + 1))
     word = Word((1,) * m, inserts, tuple(powers) if powers else (1,) * m)
@@ -268,7 +262,7 @@ def moment_cumulant_roundtrip(
     return gap == 0 if law.exact else gap <= tolerance
 
 
-def free_iid_moment(law, word: Word, cache: MobiusCache | None = None):
+def free_iid_moment(law, word: Word, cache: MobiusCache):
     """Joint moment of a free i.i.d. sequence, synthesized from one law.
 
     Sum of partitioned cumulants over non-crossing partitions below the
@@ -276,7 +270,6 @@ def free_iid_moment(law, word: Word, cache: MobiusCache | None = None):
     of the sequence throughout the package.  At a non-crossing kernel the
     sum covers [0, ker] in NC(m), so it is the nested moment of the kernel.
     """
-    cache = cache or default_cache()
     single = word.with_indices((1,) * word.length)
     ker = kernel(word.indices)
     if ker.is_noncrossing():
@@ -297,9 +290,9 @@ class FreeSequence:
 
     kernel_invariant = True
 
-    def __init__(self, law, cache: MobiusCache | None = None):
+    def __init__(self, law, cache: MobiusCache):
         self.law = law
-        self.cache = cache or default_cache()
+        self.cache = cache
         self._memo: dict = {}
 
     def moment(self, word: Word):

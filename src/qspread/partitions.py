@@ -77,12 +77,12 @@ class Partition:
         return cls._of(kernel_rgs(labels))
 
     @classmethod
-    def _of(cls, rgs: tuple[int, ...], blocks=None) -> "Partition":
+    def _of(cls, rgs: tuple[int, ...]) -> "Partition":
         """The partition with restricted growth string ``rgs``, unchecked."""
         p = object.__new__(cls)
         _set(p, "m", len(rgs))
         _set(p, "rgs", rgs)
-        _set(p, "_blocks", blocks)
+        _set(p, "_blocks", None)
         _set(p, "_noncrossing", None)
         return p
 
@@ -357,12 +357,7 @@ def default_cache() -> MobiusCache:
     return MobiusCache()
 
 
-def mobius(s: Partition, p: Partition, cache: MobiusCache | None = None) -> int:
-    """Exact Mobius value mu(s, p) of the non-crossing lattice."""
-    return (cache or default_cache()).mobius(s, p)
-
-
-def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Partition, int]:
+def mobius_column_oracle(m: int, cache: MobiusCache) -> dict[Partition, int]:
     """Solve the zeta system for the column mu(., full) by back-substitution.
 
     Independent of the closed form in ``MobiusCache.mobius``: here
@@ -370,7 +365,6 @@ def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Parti
     x(full) = 1, each sum over the up-set of p in the order matrix.  Used as
     a cross-check oracle.
     """
-    cache = cache or default_cache()
     elems, order = cache.nc(m), cache.order(m)
     column = [0] * len(elems)
     for i in sorted(range(len(elems)), key=lambda i: elems[i].size()):  # coarser first
@@ -380,7 +374,7 @@ def mobius_column_oracle(m: int, cache: MobiusCache | None = None) -> dict[Parti
 
 
 def zeta_inverse_table(
-    m: int, cache: MobiusCache | None = None
+    m: int, cache: MobiusCache
 ) -> dict[tuple[Partition, Partition], int | Fraction]:
     """Invert the zeta matrix of NC(m) by exact Gauss-Jordan elimination.
 
@@ -389,7 +383,6 @@ def zeta_inverse_table(
     matrix of ``MobiusCache.order``, held as ints: a pivot of 1 needs no
     scaling, and a Fraction would appear only at another pivot.
     """
-    cache = cache or default_cache()
     elems, order = cache.nc(m), cache.order(m).tolist()
     size = len(elems)
     aug = [[int(v) for v in order[r]] + [int(r == c) for c in range(size)]

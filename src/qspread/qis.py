@@ -87,7 +87,6 @@ class Representation:
     gens: dict
     dim: int
     seed: int | None = None
-    tolerance: float = DEFAULT_REP_TOLERANCE
 
     def __post_init__(self):
         if self.kind not in ("increasing", "permutation"):
@@ -195,7 +194,7 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
     ``Representation.nonzero_mask``) is the exact zero: its case gets the
     shared exact zero that ``residual_norm`` returns for a zero defect, with
     no product formed and no maximum updated (it cannot raise one)."""
-    tracker = ResidualTracker(name, rep.tolerance if tolerance is None else tolerance,
+    tracker = ResidualTracker(name, DEFAULT_REP_TOLERANCE if tolerance is None else tolerance,
                               params=params, seed=rep.seed if seed is None else seed)
     worst = {True: 0, False: 0}  # defining, derived
     for keys, sums in groups:
@@ -311,19 +310,17 @@ def quantum_extension(
                 for t in range(0, m + p):
                     total = total + v(t, p) - v(t + 1, p + 1)
                 gens[(i, col)] = total
-    return Representation(
-        kind="permutation", k=n, n=n, gens=gens, dim=rep.dim, seed=rep.seed,
-        tolerance=rep.tolerance,
-    )
+    return Representation(kind="permutation", k=n, n=n, gens=gens, dim=rep.dim, seed=rep.seed)
 
 
-def rep_from_json_dict(data: dict) -> Representation:
+def rep_from_json(text: str) -> Representation:
     """Decode a representation document (docs/representation.schema.json).
 
-    Raises ValueError naming the first problem: a missing key, a generator
-    key that is not 'i,j' inside 1..n x 1..k, or a matrix that is not rows
-    of [re, im] pairs.
+    Raises ValueError naming the first problem: invalid JSON, a missing key,
+    a generator key that is not 'i,j' inside 1..n x 1..k, or a matrix that
+    is not rows of [re, im] pairs.
     """
+    data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a representation document must be a JSON object")
     missing = [key for key in ("kind", "k", "n", "dim", "gens") if key not in data]
@@ -359,7 +356,3 @@ def rep_from_json_dict(data: dict) -> Representation:
         dim=dim,
         seed=data.get("seed"),
     )
-
-
-def rep_from_json(text: str) -> Representation:
-    return rep_from_json_dict(json.loads(text))

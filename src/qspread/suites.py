@@ -47,6 +47,7 @@ from .partitions import (
     zeta_inverse_table,
 )
 from .qis import (
+    INCREASING_N_MAX,
     build_block_rep,
     check_increasing_relations,
     classical_point_rep,
@@ -141,6 +142,16 @@ WORK_CAPS = {
     "reconstruction": {"m_max": 6, "n_max": 32, "unit_m_max": 6, "unit_n_max": 256},
     "positivity": {"max_len": POSITIVITY_CAPS["max_len"]},
 }
+# The keys each law kind reads beside "kind", each with a value of the type it
+# must have, which for the matrix sizes d and D is also their default.  Their
+# work budgets, by the rule of WORK_CAPS: only the exchangeable and spreadable
+# sections read the law, and each cap is the largest size at which both
+# finished within criteria 7 and 8's 60 s with the other size at 2, on a
+# shared 2-vCPU host (exchangeable took 59 s, 59 s, 51 s and 57 s); one step
+# above, exchangeable exceeded it.
+LAW_KEYS = {"semicircular": {}, "scalar_moments": {"moments": []}, "matrix": {"d": 2, "D": 2},
+            "rational_matrix": {"d": 2, "D": 2}, "independent": {"moments": {}}}
+LAW_CAPS = {"matrix": {"d": 432, "D": 459}, "rational_matrix": {"d": 11, "D": 12}}
 # Side of the positivity Gram matrix: 341 at the defaults k = n = 2 with the
 # largest max_len, 19 s; the next max_len (1,365) exceeded 120 s.
 GRAM_SIZE_CAP = POSITIVITY_CAPS["gram_size"]
@@ -156,9 +167,10 @@ def merge_config(overrides: dict | None) -> dict:
     that shares no dict with DEFAULT_CONFIG.
 
     Every key must exist in DEFAULT_CONFIG, with a value of the default's
-    type (an int passes for a float, a bool never for a number); only the
-    keys inside ``law`` are free-form.  The sizes must stay within
-    WORK_CAPS and the positivity Gram matrix within GRAM_SIZE_CAP.  Raises
+    type (an int passes for a float, a bool never for a number), but the
+    keys inside ``law`` are those that LAW_KEYS gives its kind.  The sizes
+    must stay within WORK_CAPS and LAW_CAPS, the positivity Gram matrix
+    within GRAM_SIZE_CAP, and each block family must fit its checks.  Raises
     ConfigError naming the dotted path of the first offending key.
     """
     def deep(base, over, path):
@@ -167,11 +179,21 @@ def merge_config(overrides: dict | None) -> dict:
             where = f"{path}.{key}" if path else key
             if key not in base:
                 raise ConfigError(f"unknown config key {where!r}")
-            if isinstance(base[key], dict):
+            if isinstance(base[key], dict) and path != "law":  # a law key is a leaf
                 if not isinstance(value, dict):
                     raise ConfigError(f"config key {where!r} must be an object")
-                free_form = where == "law"
-                out[key] = {**base[key], **value} if free_form else deep(base[key], value, where)
+                if where == "law":  # checked against the keys its kind reads, not filled in
+                    kind = value.get("kind", base[key]["kind"])
+                    if not isinstance(kind, str) or kind not in LAW_KEYS:
+                        raise ConfigError(f"config key 'law.kind' must be one of "
+                                          f"{', '.join(LAW_KEYS)}, got {kind!r}")
+                    if "moments" in LAW_KEYS[kind] and "moments" not in value:
+                        raise ConfigError(f"config key 'law.moments' is needed by kind {kind!r}")
+                    deep({"kind": kind, **LAW_KEYS[kind]}, value, where)
+                    within({**LAW_KEYS[kind], **value}, LAW_CAPS.get(kind, {}), where)
+                    out[key] = {**base[key], **value}
+                else:
+                    out[key] = deep(base[key], value, where)
             elif _same_type(value, base[key]):
                 out[key] = value
             else:
@@ -192,6 +214,15 @@ def merge_config(overrides: dict | None) -> dict:
 
     merged = deep(copy.deepcopy(DEFAULT_CONFIG), overrides or {}, "")
     within(merged, WORK_CAPS, "")
+    for section in ("relations", "spreadable"):
+        block = merged[section]["block"]
+        if block["dim"] < block["n"]:
+            raise ConfigError(f"config key '{section}.block.dim' must be >= "
+                              f"'{section}.block.n' = {block['n']}, got {block['dim']}")
+    block = merged["spreadable"]["block"]
+    if block["k"] * block["n"] > INCREASING_N_MAX:
+        raise ConfigError(f"config keys 'spreadable.block.k' and 'spreadable.block.n' give "
+                          f"{block['k'] * block['n']} rows, must be <= {INCREASING_N_MAX}")
     size = gram_size(**merged["positivity"])
     if size > GRAM_SIZE_CAP:
         raise ConfigError(f"config keys 'positivity.k', 'positivity.n' and "
@@ -212,27 +243,26 @@ def _parse_scalar(value):
     return Fraction(value) if isinstance(value, (str, int)) else value
 
 
-def build_law(spec: dict, seed: int):
-    kind = spec["kind"]
-    if kind == "semicircular":
-        return semicircular_law()
-    if kind == "scalar_moments":
-        return ScalarLaw([_parse_scalar(v) for v in spec["moments"]])
-    if kind == "matrix":
-        return random_matrix_law(spec.get("d", 2), spec.get("D", 2), seed)
-    if kind == "rational_matrix":
-        return random_rational_matrix_law(spec.get("d", 2), spec.get("D", 2), seed)
-    raise ValueError(f"unknown law kind {kind!r}")
-
-
 def build_sequence(spec: dict, seed: int, cache: MobiusCache):
-    if spec["kind"] == "independent":
+    """The sequence model of a ``law`` section that ``merge_config`` checked:
+    the broken model for kind "independent", else the free i.i.d. sequence
+    of the kind's law."""
+    kind = spec["kind"]
+    if kind == "independent":
         lists = {
             int(idx): [_parse_scalar(v) for v in ms]
             for idx, ms in spec["moments"].items()
         }
         return IndependentSequence(lists)
-    return FreeSequence(build_law(spec, seed), cache)
+    if kind == "semicircular":
+        law = semicircular_law()
+    elif kind == "scalar_moments":
+        law = ScalarLaw([_parse_scalar(v) for v in spec["moments"]])
+    else:
+        make = random_matrix_law if kind == "matrix" else random_rational_matrix_law
+        sizes = {**LAW_KEYS[kind], **spec}  # d and D left out take their defaults
+        law = make(sizes["d"], sizes["D"], seed)
+    return FreeSequence(law, cache)
 
 
 def catalan_by_recurrence(m: int) -> int:
@@ -611,8 +641,7 @@ SUITE_SECTIONS = (
 )
 
 
-def run_section(name: str, config: dict, cache: MobiusCache | None = None) -> list[CheckReport]:
-    cache = cache or MobiusCache()
+def run_section(name: str, config: dict, cache: MobiusCache) -> list[CheckReport]:
     for section, runner in SUITE_SECTIONS:
         if section == name:
             try:

@@ -90,7 +90,7 @@ class BlockQuery:
         return tuple(l - (j - 1) * self.n for l, j in zip(self.rows, self.cols))
 
 
-def block_state_moment(q: BlockQuery, cache: MobiusCache | None = None) -> Fraction:
+def block_state_moment(q: BlockQuery, cache: MobiusCache) -> Fraction:
     """Closed-form moment of the state: zero off the bands, otherwise the
     Mobius-weighted double sum over non-crossing partitions."""
     if not q.in_band():
@@ -114,7 +114,7 @@ def _column_cumulant(labels: tuple[int, ...], n: int, cache: MobiusCache) -> int
     return hit
 
 
-def free_projection_oracle(q: BlockQuery, cache: MobiusCache | None = None) -> Fraction:
+def free_projection_oracle(q: BlockQuery, cache: MobiusCache) -> Fraction:
     """The same moment computed without the closed formula.
 
     Freeness of the columns says the moment is the sum, over non-crossing
@@ -122,7 +122,6 @@ def free_projection_oracle(q: BlockQuery, cache: MobiusCache | None = None) -> F
     cumulant per block; each block cumulant is recovered from same-column
     moments by Mobius inversion.  Exact rational output.
     """
-    cache = cache or default_cache()
     n = q.n
     offsets = q.band_offsets()
     total = 0
@@ -137,8 +136,7 @@ def free_projection_oracle(q: BlockQuery, cache: MobiusCache | None = None) -> F
 
 
 def reconstruction_weight(
-    cols: tuple[int, ...], band: tuple[int, ...], n: int,
-    cache: MobiusCache | None = None,
+    cols: tuple[int, ...], band: tuple[int, ...], n: int, cache: MobiusCache
 ) -> Fraction:
     """Coefficient attached to one replacement tuple when the state is applied
     to the invariance equation: the sum over non-crossing pi <= ker(cols) and
@@ -148,7 +146,6 @@ def reconstruction_weight(
     n^m, and memoized in the cache per pair of kernel RGS."""
     if len(cols) != len(band):
         raise ValueError("tuples must have equal length")
-    cache = cache or default_cache()
     col_kernel, band_kernel = kernel(cols), kernel(band)
     key = (col_kernel.rgs, band_kernel.rgs, n)
     hit = cache._weight_memo.get(key)
@@ -163,9 +160,7 @@ def reconstruction_weight(
     return hit
 
 
-def finite_n_reconstruction(
-    law, word: Word, n: int, cache: MobiusCache | None = None
-):
+def finite_n_reconstruction(law, word: Word, n: int, cache: MobiusCache):
     """Average the free joint moments over all band replacements, weighted by
     reconstruction_weight.
 
@@ -178,7 +173,6 @@ def finite_n_reconstruction(
         raise ValueError("reconstruction check runs on the exact backend only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    cache = cache or default_cache()
     cols = word.indices
     total = law.zero()
     moments: dict = {}  # kernel RGS of the shifted indices -> free moment
@@ -195,7 +189,7 @@ def finite_n_reconstruction(
 
 
 def combinatorial_unit_identity(
-    tau: Partition, cols: tuple[int, ...], n: int, cache: MobiusCache | None = None
+    tau: Partition, cols: tuple[int, ...], n: int, cache: MobiusCache
 ) -> Fraction:
     """Sum of reconstruction weights over band tuples refined by ``tau``.
 
@@ -210,7 +204,6 @@ def combinatorial_unit_identity(
         raise OrderError(f"{tau!r} is crossing")
     if not leq(tau, kernel(cols)):
         raise OrderError(f"{tau!r} is not below the kernel of {cols}")
-    cache = cache or default_cache()
     total = Fraction(0)
     for rho in enumerate_all(tau.size()):
         count = math.perm(n, rho.size())  # 0 when rho has more than n blocks
@@ -266,8 +259,8 @@ def gram_size(k: int, n: int, max_len: int) -> int:
 
 
 def state_positivity_evidence(
-    k: int, n: int, max_len: int = 2, tolerance: float = 1e-10,
-    cache: MobiusCache | None = None, seed: int | None = None,
+    k: int, n: int, max_len: int, tolerance: float, cache: MobiusCache,
+    seed: int | None = None,
 ) -> CheckReport:
     """Positive-semidefiniteness of the Gram matrix [psi(w* w')] over all
     in-band words up to max_len.
@@ -278,7 +271,6 @@ def state_positivity_evidence(
     require_within("state_positivity_evidence",
                    {"max_len": max_len, "gram_size": gram_size(k, n, max_len)},
                    POSITIVITY_CAPS)
-    cache = cache or default_cache()
     letters = [
         ((j - 1) * n + i, j) for j in range(1, k + 1) for i in range(1, n + 1)
     ]

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from qspread import cli
@@ -10,10 +12,12 @@ from qspread.cli import REP_FILE_BYTES_MAX, main
 from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
 from qspread.moments import ROUNDTRIP_CAPS, moment_cumulant_roundtrip, semicircular_law
 from qspread.partitions import NC_ENUMERATION_LIMIT, MobiusCache
+from qspread.qis import INCREASING_N_MAX
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
     DEFAULT_CONFIG,
     GRAM_SIZE_CAP,
+    LAW_CAPS,
     NC_M_CAPS,
     WORK_CAPS,
     ConfigError,
@@ -86,6 +90,15 @@ def nested(path, value):
     for key in reversed(path):
         value = {key: value}
     return value
+
+
+def at_size(path, value):
+    """``nested(path, value)``, with a block family's dim raised to its n
+    when ``path`` is that n: a block needs dim >= n, and its n cap was
+    measured with dim = n."""
+    if path[-2:] == ("block", "n"):
+        return nested(path[:-1], {"n": value, "dim": value})
+    return nested(path, value)
 
 
 class TestBasicCommands:
@@ -257,6 +270,33 @@ class TestExitCodes:
         assert failed
         assert all(r["witness"] is not None for r in failed)
         assert any(r["witness"] and r["witness"][0] == "word" for r in failed)
+
+
+class TestRepSpecs:
+    """A family spec is exactly 'projection' or 'extended', optionally
+    followed by ':theta=<finite float>'; anything else exits 2 and names the
+    part that is wrong, before any check runs."""
+
+    @pytest.mark.parametrize("spec, part", [
+        ("extended:tehta=0.7", "':tehta=0.7'"),
+        ("extended:theta=0.7,foo=1", "':theta=0.7,foo=1'"),
+        ("extendedXYZ", "'extendedXYZ'"),
+        ("projection:theta=nan", "':theta=nan'"),
+        ("projection:theta=inf", "':theta=inf'"),
+        ("projection:theta=", "':theta='"),
+        ("extended:", "':'"),
+    ])
+    def test_bad_spec_is_2_and_names_the_part(self, capsys, spec, part):
+        assert main(["qperm", "magic", "--rep", spec]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and part in out.err, out.err
+
+    @pytest.mark.parametrize("spec", ["extended:theta=0.7", "projection:theta=0.7",
+                                      "extended", "projection"])
+    def test_valid_spec_runs_and_keeps_its_name(self, capsys, spec):
+        assert main(["qperm", "magic", "--rep", spec]) == 0
+        (report,) = read_reports(capsys)
+        assert report["params"]["rep"] == spec and report["status"] == "pass"
 
 
 class TestMalformedRepFile:
@@ -439,6 +479,66 @@ class TestConfigValidation:
         assert printed["law"] == {"kind": "independent", "moments": {"1": [1]}}
 
 
+class TestLawAndBlockKeys:
+    """The keys of ``law`` are those its kind reads, with a work budget on the
+    matrix sizes, and each block family must fit its checks; anything else
+    exits 2 naming the key before a section runs."""
+
+    @pytest.mark.parametrize("overrides, key, argv", [
+        ({"law": {"kind": "semicircluar"}}, "'law.kind'", ["inv", "exchangeable"]),
+        ({"law": {"kind": ["matrix"]}}, "'law.kind'", ["inv", "exchangeable"]),
+        ({"law": {"kind": "matrix", "dd": 3}}, "'law.dd'", ["inv", "exchangeable"]),
+        ({"law": {"moments": [1, 0, 1]}}, "'law.moments'", ["inv", "spreadable"]),
+        ({"law": {"kind": "scalar_moments"}}, "'law.moments'", ["inv", "exchangeable"]),
+        ({"law": {"kind": "scalar_moments", "moments": {"1": [1]}}}, "'law.moments'",
+         ["inv", "exchangeable"]),
+        ({"law": {"kind": "independent", "moments": [1, 0, 1]}}, "'law.moments'",
+         ["inv", "exchangeable"]),
+        ({"law": {"kind": "matrix", "d": 2.0}}, "'law.d'", ["inv", "exchangeable"]),
+        ({"law": {"kind": "rational_matrix", "D": True}}, "'law.D'", ["inv", "spreadable"]),
+        ({"spreadable": {"block": {"k": 6, "n": 8, "dim": 8}}}, "'spreadable.block.k'",
+         ["inv", "spreadable"]),
+        ({"spreadable": {"block": {"n": 3}}}, "'spreadable.block.dim'", ["inv", "spreadable"]),
+        ({"relations": {"block": {"n": 3}}}, "'relations.block.dim'", ["qis", "relations"]),
+    ])
+    def test_bad_key_is_2_and_named(self, tmp_path, capsys, overrides, key, argv):
+        assert main([*argv, "--config", write_config(tmp_path, overrides)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and key in out.err, out.err
+
+    @pytest.mark.parametrize("kind", sorted(LAW_CAPS))
+    def test_matrix_sizes_at_and_over_each_cap(self, tmp_path, capsys, kind):
+        for key, cap in LAW_CAPS[kind].items():
+            assert merge_config({"law": {"kind": kind, key: cap}})["law"][key] == cap
+            config = write_config(tmp_path, {"law": {"kind": kind, key: cap + 1}})
+            assert main(["config", "--config", config]) == 2, key
+            out = capsys.readouterr()
+            assert f"'law.{key}'" in out.err and "work budget" in out.err and out.out == ""
+
+    def test_schema_agrees_on_the_law(self):
+        schema = json.loads((Path(__file__).parents[1] / "docs" / "config.schema.json")
+                            .read_text())
+        for kind, caps in LAW_CAPS.items():
+            variant = next(v for v in schema["properties"]["law"]["oneOf"]
+                           if v["properties"]["kind"].get("const") == kind)
+            assert {key: variant["properties"][key]["maximum"] for key in caps} == caps
+        accepted = [{}, {"kind": "semicircular"}, {"kind": "matrix", "d": 3},
+                    {"kind": "scalar_moments", "moments": [1, 0, 1]},
+                    {"kind": "independent", "moments": {"1": [1]}}]
+        rejected = [{"kind": "semicircluar"}, {"kind": "matrix", "dd": 3},
+                    {"moments": [1]}, {"kind": "scalar_moments"},
+                    {"kind": "independent", "moments": [1]},
+                    {"kind": "rational_matrix", "d": LAW_CAPS["rational_matrix"]["d"] + 1}]
+        for law in accepted:
+            merge_config({"law": law})
+            jsonschema.validate({"law": law}, schema)
+        for law in rejected:
+            with pytest.raises(ConfigError):
+                merge_config({"law": law})
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"law": law}, schema)
+
+
 class TestMobiusWorkBudget:
     """Mobius sizes above their caps are rejected up front (exit 2, naming
     the key) instead of running for minutes or hours."""
@@ -482,12 +582,17 @@ class TestWorkBudgets:
             assert properties[path[-1]]["maximum"] == cap, path
         assert gram_size(**DEFAULT_CONFIG["positivity"]) <= GRAM_SIZE_CAP
         assert f"<= {GRAM_SIZE_CAP} (work budget)" in schema["positivity"]["description"]
-        assert merge_config({section: dict(caps) for section, caps in WORK_CAPS.items()})
+        at_caps = copy.deepcopy(WORK_CAPS)
+        with pytest.raises(ConfigError, match="'spreadable.block.k' and 'spreadable.block.n'"):
+            merge_config(at_caps)  # 6 x 8 = 48 rows, above INCREASING_N_MAX
+        block = at_caps["spreadable"]["block"]
+        block["k"] = INCREASING_N_MAX // block["n"]
+        assert merge_config(at_caps)
 
     def at_and_over_each_cap(self, section, tmp_path, capsys):
         for path, cap in leaf_caps(WORK_CAPS[section], (section,)):
-            assert at(merge_config(nested(path, cap)), path) == cap
-            config = write_config(tmp_path, nested(path, cap + 1))
+            assert at(merge_config(at_size(path, cap)), path) == cap
+            config = write_config(tmp_path, at_size(path, cap + 1))
             assert main(["suite", "all", "--config", config]) == 2, path
             out = capsys.readouterr()
             assert f"'{'.'.join(path)}'" in out.err and out.out == ""
@@ -553,13 +658,15 @@ class TestDirectCallBudgets:
 
     def test_kernel_sums_at_and_over_the_caps(self):
         k_cap, len_cap = KERNEL_SUMS_CAPS["k"], KERNEL_SUMS_CAPS["max_len"]
-        assert check_kernel_sums(permutation_rep((1,)), len_cap, tolerance=0).passed
+        cache = MobiusCache()
+        assert check_kernel_sums(permutation_rep((1,)), len_cap, tolerance=0, cache=cache).passed
         assert check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 1))), 1,
-                                 tolerance=0).passed
+                                 tolerance=0, cache=cache).passed
         with pytest.raises(ValueError, match=f"max_len <= {len_cap}"):
-            check_kernel_sums(permutation_rep((1,)), len_cap + 1, tolerance=0)
+            check_kernel_sums(permutation_rep((1,)), len_cap + 1, tolerance=0, cache=cache)
         with pytest.raises(ValueError, match=f"k <= {k_cap}"):
-            check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 2))), 1, tolerance=0)
+            check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 2))), 1, tolerance=0,
+                              cache=cache)
 
     def test_oracle_sweep_at_and_over_the_caps(self):
         for key in ORACLE_CAPS:
@@ -570,26 +677,28 @@ class TestDirectCallBudgets:
                 oracle_equivalence_sweep(**sizes)
 
     def test_positivity_at_and_over_the_caps(self, monkeypatch):
-        len_cap = POSITIVITY_CAPS["max_len"]
-        assert state_positivity_evidence(1, 1, len_cap).params["gram_size"] == len_cap + 1
+        len_cap, tol, cache = POSITIVITY_CAPS["max_len"], 1e-10, MobiusCache()
+        assert state_positivity_evidence(1, 1, len_cap, tol, cache).params["gram_size"] \
+            == len_cap + 1
         with pytest.raises(ValueError, match=f"max_len <= {len_cap}"):
-            state_positivity_evidence(1, 1, len_cap + 1)
+            state_positivity_evidence(1, 1, len_cap + 1, tol, cache)
         # the Gram side at its cap takes 19 s, so the cap is lowered to a small side
         monkeypatch.setitem(POSITIVITY_CAPS, "gram_size", gram_size(2, 1, 2))
-        assert state_positivity_evidence(2, 1, 2).passed
+        assert state_positivity_evidence(2, 1, 2, tol, cache).passed
         with pytest.raises(ValueError, match=f"gram_size <= {gram_size(2, 1, 2)}"):
-            state_positivity_evidence(3, 1, 2)
+            state_positivity_evidence(3, 1, 2, tol, cache)
 
 
     def test_roundtrip_at_and_over_the_cap(self, monkeypatch):
         # m = 10 raises before the law is read
+        cache = MobiusCache()
         with pytest.raises(ValueError, match=f"m <= {ROUNDTRIP_CAPS['m']} \\(work budget\\)"):
-            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1)
+            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1, cache=cache)
         # m = 9, the shipped cap, takes seconds, so the cap is lowered to 3
         monkeypatch.setitem(ROUNDTRIP_CAPS, "m", 3)
-        assert moment_cumulant_roundtrip(semicircular_law(), 3)
+        assert moment_cumulant_roundtrip(semicircular_law(), 3, cache=cache)
         with pytest.raises(ValueError, match="m <= 3"):
-            moment_cumulant_roundtrip(object(), 4)
+            moment_cumulant_roundtrip(object(), 4, cache=cache)
 
     def test_magic_unitary_at_and_over_the_cap(self, monkeypatch):
         monkeypatch.setitem(MAGIC_CAPS, "n", 3)

@@ -460,7 +460,7 @@ class TestExchangeable:
         seq = FreeSequence(semicircular_law(), CACHE)
         bad = [Word.plain(seq.law, (3,))]
         with pytest.raises(ValueError):
-            check_exchangeable(seq, projection_perm_rep(), bad)
+            check_exchangeable(seq, projection_perm_rep(), bad, tolerance=1e-9)
 
 
 class TestSpreadable:

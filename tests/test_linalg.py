@@ -21,6 +21,7 @@ from qspread.linalg import (
     rational_zeros,
     residual_norm,
 )
+from qspread.partitions import MobiusCache
 from qspread.qis import (
     check_increasing_relations,
     classical_point_rep,
@@ -219,10 +220,11 @@ class TestIntegerFamilies:
             point = classical_point_rep(l)
             assert check_increasing_relations(point, tolerance=0).max_residual == EXACT_ZERO
             reps.append(quantum_extension(point, tolerance=0))
+        cache = MobiusCache()
         for rep in reps:
             assert all(type(x) is int for g in rep.gens.values() for x in g.flat)
             assert check_magic_unitary(rep, tolerance=0).max_residual == EXACT_ZERO
-            assert check_kernel_sums(rep, 3, tolerance=0).max_residual == EXACT_ZERO
+            assert check_kernel_sums(rep, 3, tolerance=0, cache=cache).max_residual == EXACT_ZERO
         assert kinds and kinds <= {int, Fraction}
 
     def test_kernel_sums_on_permutation_reps_do_no_fraction_arithmetic(self, monkeypatch):
@@ -232,8 +234,9 @@ class TestIntegerFamilies:
         for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                      "__truediv__", "__rtruediv__", "__neg__", "__abs__", "__pow__"):
             monkeypatch.setattr(Fraction, name, refuse)
+        cache = MobiusCache()
         for perm in itertools.permutations((1, 2, 3)):
-            report = check_kernel_sums(permutation_rep(perm), 4, tolerance=0)
+            report = check_kernel_sums(permutation_rep(perm), 4, tolerance=0, cache=cache)
             assert report.max_residual == EXACT_ZERO
 
     def test_expectations_of_int_input_are_fractions(self):

@@ -207,7 +207,7 @@ class TestPartitionCumulant:
         law = random_matrix_law(2, 2, seed=11)
         rng = np.random.default_rng(12)
         word = Word((1,), (law.random_element(rng), law.random_element(rng)), (1,))
-        k = partition_cumulant(law, Partition.full(1), word, CACHE)
+        k = partition_cumulant(law, Partition.full(1), word, CACHE, {})
         m = partition_moment(law, Partition.full(1), word)
         assert residual_norm(k - m) < 1e-12
 
@@ -216,7 +216,7 @@ class TestPartitionCumulant:
         rng = np.random.default_rng(14)
         inserts = tuple(law.random_element(rng) for _ in range(3))
         word = Word((1, 1), inserts, (1, 1))
-        k = partition_cumulant(law, Partition.full(2), word, CACHE)
+        k = partition_cumulant(law, Partition.full(2), word, CACHE, {})
         whole = law.eval(list(inserts))
         left = law.eval([inserts[0], inserts[1]])  # E[b0 x b1]
         right = law.eval([law.unit(), inserts[2]])  # E[x b2]
@@ -226,7 +226,7 @@ class TestPartitionCumulant:
         law = semicircular_law()
         for m, expected in [(1, 0), (2, 1), (3, 0), (4, 0)]:
             word = Word.plain(law, (1,) * m)
-            assert partition_cumulant(law, Partition.full(m), word, CACHE) == expected
+            assert partition_cumulant(law, Partition.full(m), word, CACHE, {}) == expected
 
 
 class TestRoundtrip:
@@ -326,7 +326,7 @@ class TestFreeIIDMoment:
                     single = word.with_indices((1,) * m)
                     recomputed = law.zero()
                     for part in CACHE.below(kernel(idx)):
-                        recomputed = recomputed + partition_cumulant(law, part, single, CACHE)
+                        recomputed = recomputed + partition_cumulant(law, part, single, CACHE, {})
                     got = free_iid_moment(law, word, CACHE)
                     if kernel(idx).is_noncrossing():
                         assert np.max(np.abs(got - recomputed)) <= 1e-12, idx

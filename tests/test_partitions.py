@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
+from qspread import invariance, moments, suites, weingarten
 from qspread.partitions import (
     GroundSetError,
     MobiusCache,
@@ -16,7 +18,6 @@ from qspread.partitions import (
     kernel,
     leq,
     meet,
-    mobius,
     mobius_column_oracle,
     zeta_inverse_table,
 )
@@ -206,13 +207,13 @@ class TestKernel:
 class TestMobius:
     def test_base_values(self):
         cache = MobiusCache()
-        assert mobius(Partition.singletons(1), Partition.full(1), cache) == 1
-        assert mobius(Partition.singletons(2), Partition.full(2), cache) == -1
-        assert mobius(Partition.singletons(4), Partition.full(4), cache) == -5
+        assert cache.mobius(Partition.singletons(1), Partition.full(1)) == 1
+        assert cache.mobius(Partition.singletons(2), Partition.full(2)) == -1
+        assert cache.mobius(Partition.singletons(4), Partition.full(4)) == -5
 
     def test_order_error(self):
         with pytest.raises(OrderError):
-            mobius(Partition.full(3), Partition.singletons(3))
+            MobiusCache().mobius(Partition.full(3), Partition.singletons(3))
 
     def test_defining_identity_up_to_m6(self):
         cache = MobiusCache()
@@ -258,8 +259,43 @@ class TestNoModuleState:
         assert default_cache() is not default_cache()
 
     def test_calls_without_a_cache_leave_nothing_behind(self):
-        p = Partition.full(4)
-        assert mobius(Partition.singletons(4), p) == -5
-        assert zeta_inverse_table(3) == zeta_inverse_table(3, MobiusCache())
-        assert mobius_column_oracle(3) == mobius_column_oracle(3, MobiusCache())
+        # the oracle sweep is the one function that builds its own cache
+        reports = [weingarten.oracle_equivalence_sweep(2, 2, 2).to_json_dict(),
+                   weingarten.oracle_equivalence_sweep(2, 2, 2, MobiusCache()).to_json_dict()]
+        for report in reports:
+            report.pop("runtime_ms")
+        assert reports[0] == reports[1]
         assert default_cache()._mu == {}
+
+
+CONTEXT_PARAMETERS = (
+    [(f, ("tolerance",)) for f in (invariance.check_exchangeable, invariance.check_spreadable,
+                                   invariance.check_bvalued_spreadable)]
+    + [(f, ("cache",)) for f in (moments.moment_cumulant_roundtrip, moments.free_iid_moment,
+                                 moments.FreeSequence, mobius_column_oracle, zeta_inverse_table,
+                                 weingarten.block_state_moment, weingarten.free_projection_oracle,
+                                 weingarten.reconstruction_weight,
+                                 weingarten.finite_n_reconstruction,
+                                 weingarten.combinatorial_unit_identity, suites.run_section)]
+    + [(invariance.check_kernel_sums, ("tolerance", "cache")),
+       (moments.partition_cumulant, ("cache", "moments")),
+       (weingarten.state_positivity_evidence, ("max_len", "tolerance", "cache"))]
+)
+
+
+class TestCallersOwnTheContext:
+    """Every function reads the MobiusCache and the tolerance its caller
+    passes: none of them has a default to fall back on."""
+
+    @pytest.mark.parametrize("function, names", CONTEXT_PARAMETERS,
+                             ids=[function.__name__ for function, _ in CONTEXT_PARAMETERS])
+    def test_context_parameters_have_no_default(self, function, names):
+        parameters = inspect.signature(function).parameters
+        for name in names:
+            assert parameters[name].default is inspect.Parameter.empty, name
+
+    def test_the_oracle_sweep_alone_builds_its_own_cache(self):
+        # the benchmark harness calls it without a cache, and with one as its
+        # fourth positional argument
+        cache = list(inspect.signature(weingarten.oracle_equivalence_sweep).parameters.values())[3]
+        assert (cache.name, cache.default) == ("cache", None)

@@ -239,7 +239,7 @@ class TestPositivityEvidence:
         calls = []
         monkeypatch.setattr(weingarten, "block_state_moment",
                             lambda q, cache: calls.append(q) or block_state_moment(q, cache))
-        report = state_positivity_evidence(2, 2, max_len=2, cache=CACHE)
+        report = state_positivity_evidence(2, 2, max_len=2, tolerance=1e-10, cache=CACHE)
         size = report.params["gram_size"]
         assert len(calls) == size * (size + 1) // 2 - 1
         letters = [(1, 1), (2, 1), (3, 2), (4, 2)]
