@@ -57,14 +57,15 @@ def parse_rep_spec(spec: str):
     if family == "permutation" and colon:
         return permutation_rep(tuple(int(v) for v in body.split(",")))
     if family in ("projection", "extended"):
-        key, _, value = body.partition("=")
-        try:
-            theta = float(value) if colon else 0.8
-        except ValueError:
-            theta = math.nan
-        if colon and key != "theta" or not math.isfinite(theta):
-            raise ValueError(f"rep spec {spec!r}: {family} takes only "
-                             f"':theta=<finite float>', got {colon + body!r}")
+        theta = 0.8
+        if colon:  # a wrong key, a bad number and a non-finite one all raise here
+            key, _, value = body.partition("=")
+            try:
+                if key != "theta" or not math.isfinite(theta := float(value)):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"rep spec {spec!r}: {family} takes only "
+                                 f"':theta=<finite float>', got {colon + body!r}") from None
         if family == "projection":
             return two_point_rep(projection_pair(theta)[1])
         return quantum_extension(two_projection_rep(theta))

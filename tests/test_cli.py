@@ -15,9 +15,10 @@ from qspread.partitions import NC_ENUMERATION_LIMIT, MobiusCache
 from qspread.qis import INCREASING_N_MAX
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
+    BVALUED_SIDE_CAP,
     DEFAULT_CONFIG,
     GRAM_SIZE_CAP,
-    LAW_CAPS,
+    LAW_SIDE_CAPS,
     NC_M_CAPS,
     WORK_CAPS,
     ConfigError,
@@ -506,29 +507,42 @@ class TestLawAndBlockKeys:
         out = capsys.readouterr()
         assert out.out == "" and key in out.err, out.err
 
-    @pytest.mark.parametrize("kind", sorted(LAW_CAPS))
-    def test_matrix_sizes_at_and_over_each_cap(self, tmp_path, capsys, kind):
-        for key, cap in LAW_CAPS[kind].items():
-            assert merge_config({"law": {"kind": kind, key: cap}})["law"][key] == cap
-            config = write_config(tmp_path, {"law": {"kind": kind, key: cap + 1}})
-            assert main(["config", "--config", config]) == 2, key
+    # (the section, the keys that pick the law, its side cap, and d and D at
+    # the separate caps they had before the side d*D was capped)
+    SIDES = [("law", {"kind": "matrix"}, LAW_SIDE_CAPS["matrix"], 432, 459),
+             ("law", {"kind": "rational_matrix"}, LAW_SIDE_CAPS["rational_matrix"], 11, 12),
+             ("bvalued", {}, BVALUED_SIDE_CAP, 587, 625)]
+
+    @pytest.mark.parametrize("section, law, cap, d, D", SIDES,
+                             ids=["matrix", "rational_matrix", "bvalued"])
+    def test_matrix_side_at_and_over_the_cap(self, tmp_path, capsys, section, law, cap, d, D):
+        for shape in ((cap, 1), (1, cap), (cap // 2, 2)):
+            sizes = dict(zip("dD", shape))
+            assert {key: merge_config({section: {**law, **sizes}})[section][key]
+                    for key in "dD"} == sizes
+        for shape in ((cap + 1, 1), (1, cap + 1), (d, D)):
+            config = write_config(tmp_path, {section: {**law, **dict(zip("dD", shape))}})
+            assert main(["config", "--config", config]) == 2, shape
             out = capsys.readouterr()
-            assert f"'law.{key}'" in out.err and "work budget" in out.err and out.out == ""
+            assert (f"'{section}.d' and '{section}.D'" in out.err and "work budget" in out.err
+                    and out.out == ""), shape
 
     def test_schema_agrees_on_the_law(self):
         schema = json.loads((Path(__file__).parents[1] / "docs" / "config.schema.json")
                             .read_text())
-        for kind, caps in LAW_CAPS.items():
+        for kind, cap in LAW_SIDE_CAPS.items():
             variant = next(v for v in schema["properties"]["law"]["oneOf"]
                            if v["properties"]["kind"].get("const") == kind)
-            assert {key: variant["properties"][key]["maximum"] for key in caps} == caps
+            assert f"d*D <= {cap} (work budget)" in variant["description"]
+        assert (f"d*D <= {BVALUED_SIDE_CAP} (work budget)"
+                in schema["properties"]["bvalued"]["description"])
         accepted = [{}, {"kind": "semicircular"}, {"kind": "matrix", "d": 3},
                     {"kind": "scalar_moments", "moments": [1, 0, 1]},
                     {"kind": "independent", "moments": {"1": [1]}}]
         rejected = [{"kind": "semicircluar"}, {"kind": "matrix", "dd": 3},
                     {"moments": [1]}, {"kind": "scalar_moments"},
                     {"kind": "independent", "moments": [1]},
-                    {"kind": "rational_matrix", "d": LAW_CAPS["rational_matrix"]["d"] + 1}]
+                    {"kind": "rational_matrix", "d": 1.5}]
         for law in accepted:
             merge_config({"law": law})
             jsonschema.validate({"law": law}, schema)
@@ -693,12 +707,12 @@ class TestDirectCallBudgets:
         # m = 10 raises before the law is read
         cache = MobiusCache()
         with pytest.raises(ValueError, match=f"m <= {ROUNDTRIP_CAPS['m']} \\(work budget\\)"):
-            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1, cache=cache)
+            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1, tolerance=0, cache=cache)
         # m = 9, the shipped cap, takes seconds, so the cap is lowered to 3
         monkeypatch.setitem(ROUNDTRIP_CAPS, "m", 3)
-        assert moment_cumulant_roundtrip(semicircular_law(), 3, cache=cache)
+        assert moment_cumulant_roundtrip(semicircular_law(), 3, tolerance=0, cache=cache)
         with pytest.raises(ValueError, match="m <= 3"):
-            moment_cumulant_roundtrip(object(), 4, cache=cache)
+            moment_cumulant_roundtrip(object(), 4, tolerance=0, cache=cache)
 
     def test_magic_unitary_at_and_over_the_cap(self, monkeypatch):
         monkeypatch.setitem(MAGIC_CAPS, "n", 3)

@@ -233,7 +233,7 @@ class TestRoundtrip:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_exact_scalar(self, m):
         law = random_scalar_law(seed=20 + m)
-        assert moment_cumulant_roundtrip(law, m, seed=m, cache=CACHE)
+        assert moment_cumulant_roundtrip(law, m, seed=m, tolerance=0, cache=CACHE)
 
     def test_each_partition_moment_is_computed_once(self, monkeypatch):
         calls = []
@@ -241,7 +241,8 @@ class TestRoundtrip:
                             lambda *args: calls.append(args[1]) or partition_moment(*args))
         for m in range(1, 6):
             calls.clear()
-            assert moment_cumulant_roundtrip(random_scalar_law(seed=m), m, seed=m, cache=CACHE)
+            assert moment_cumulant_roundtrip(random_scalar_law(seed=m), m, seed=m, tolerance=0,
+                                             cache=CACHE)
             assert sorted(calls, key=repr) == sorted(CACHE.nc(m), key=repr)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -252,11 +253,12 @@ class TestRoundtrip:
     def test_exact_matrix(self):
         law = random_rational_matrix_law(2, 2, seed=40)
         for m in (1, 2, 3):
-            assert moment_cumulant_roundtrip(law, m, seed=m, cache=CACHE)
+            assert moment_cumulant_roundtrip(law, m, seed=m, tolerance=0, cache=CACHE)
 
     def test_with_powers(self):
         law = random_scalar_law(seed=41)
-        assert moment_cumulant_roundtrip(law, 3, seed=3, powers=(2, 1, 3), cache=CACHE)
+        assert moment_cumulant_roundtrip(law, 3, seed=3, powers=(2, 1, 3), tolerance=0,
+                                         cache=CACHE)
 
 
 class TestFreeIIDMoment:

@@ -271,13 +271,14 @@ class TestNoModuleState:
 CONTEXT_PARAMETERS = (
     [(f, ("tolerance",)) for f in (invariance.check_exchangeable, invariance.check_spreadable,
                                    invariance.check_bvalued_spreadable)]
-    + [(f, ("cache",)) for f in (moments.moment_cumulant_roundtrip, moments.free_iid_moment,
-                                 moments.FreeSequence, mobius_column_oracle, zeta_inverse_table,
+    + [(f, ("cache",)) for f in (moments.free_iid_moment, moments.FreeSequence,
+                                 mobius_column_oracle, zeta_inverse_table,
                                  weingarten.block_state_moment, weingarten.free_projection_oracle,
                                  weingarten.reconstruction_weight,
                                  weingarten.finite_n_reconstruction,
                                  weingarten.combinatorial_unit_identity, suites.run_section)]
     + [(invariance.check_kernel_sums, ("tolerance", "cache")),
+       (moments.moment_cumulant_roundtrip, ("tolerance", "cache")),
        (moments.partition_cumulant, ("cache", "moments")),
        (weingarten.state_positivity_evidence, ("max_len", "tolerance", "cache"))]
 )
