@@ -12,9 +12,10 @@ representation spec instead: ``permutation:i1,...,in``, ``projection`` or
 ``extended`` with an optional ``:theta=<finite float>``, or a file path; an
 extension checks the increasing relations first.
 
-The configuration file is a single JSON document; missing keys fall back to
-documented defaults (see ``qspread config``).  The environment variable
-``QSPREAD_CONFIG`` supplies a default path.
+The configuration file is a single JSON document, checked against the
+package's ``config.schema.json``; missing keys take the schema's defaults
+(see ``qspread config``), and a key, type or size the schema does not admit
+exits 2.  The environment variable ``QSPREAD_CONFIG`` supplies a default path.
 """
 from __future__ import annotations
 

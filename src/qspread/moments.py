@@ -36,7 +36,7 @@ from .partitions import MobiusCache, Partition, kernel, nesting_plan
 from .reports import require_within
 
 CATALAN_CAP = 64
-# Work budget of moment_cumulant_roundtrip (see suites.WORK_CAPS): at m = 10
+# Work budget of moment_cumulant_roundtrip (see config.schema.json): at m = 10
 # the float matrix-law check ran 80 s and failed.
 ROUNDTRIP_CAPS = {"m": 9}
 

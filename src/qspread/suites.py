@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from .invariance import (
-    KERNEL_SUMS_CAPS,
     check_bvalued_spreadable,
     check_exchangeable,
     check_kernel_sums,
@@ -25,7 +27,6 @@ from .invariance import (
 )
 from .linalg import projection_pair
 from .moments import (
-    ROUNDTRIP_CAPS,
     FreeSequence,
     IndependentSequence,
     ScalarLaw,
@@ -37,7 +38,6 @@ from .moments import (
     semicircular_law,
 )
 from .partitions import (
-    NC_ENUMERATION_LIMIT,
     MobiusCache,
     Partition,
     catalan,
@@ -59,7 +59,6 @@ from .qis import (
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .reports import CheckReport, ResidualTracker, error_report
 from .weingarten import (
-    ORACLE_CAPS,
     POSITIVITY_CAPS,
     combinatorial_unit_identity,
     finite_n_reconstruction,
@@ -68,84 +67,25 @@ from .weingarten import (
     state_positivity_evidence,
 )
 
-DEFAULT_CONFIG: dict = {
-    "seed": 20260810,
-    "tolerances": {
-        "relations": 1e-12,
-        "magic": 1e-10,
-        "kernel_sums": 1e-10,
-        "exchangeable": 1e-9,
-        "spreadable": 1e-9,
-        "bvalued": 1e-8,
-        "roundtrip": 1e-9,
-        "positivity": 1e-10,
-    },
-    "law": {"kind": "semicircular"},
-    "nc": {"m_max": 10, "mobius_m_max": 6, "zeta_m_max": 5, "column_m_max": 7},
-    "roundtrip": {"scalar_m_max": 5, "matrix_m_max": 4},
-    "relations": {"theta_count": 20, "classical_n_max": 6, "block": {"k": 2, "n": 2, "dim": 2}},
-    "extension": {"theta_count": 20, "classical_n_max": 6},
-    "kernel_sums": {"n_max": 4, "m_max": 4, "quantum_m_max": 3},
-    "exchangeable": {"theta": 0.8, "max_word_len": 4, "include_extended": True,
-                     "extended_word_len": 2, "spot_length": 5},
-    "spreadable": {"theta": 0.9, "max_word_len": 4, "block": {"k": 2, "n": 2, "dim": 2}},
-    "bvalued": {"d": 2, "D": 2, "max_word_len": 3, "theta": 0.35},
-    "psi": {"k_max": 3, "n_max": 3, "m_max": 4},
-    "reconstruction": {"m_max": 3, "n_max": 3, "unit_m_max": 4, "unit_n_max": 4},
-    "positivity": {"k": 2, "n": 2, "max_len": 2},
-}
+_SCHEMA = json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
 
-# Work budgets of the Mobius checks: the largest m each one finished within
-# 30 s, the budget of acceptance criterion 2, on a shared 2-vCPU host (one
-# step above, the last two took 31 s and 45 s).  The identity and column
-# checks read the order matrix, built for m <= ORDER_M_MAX = 8 only; with it
-# the mobius section takes 2.5 s, 2.0 s and 0.3 s with one key at its cap.
-NC_M_CAPS = {"mobius_m_max": 8, "zeta_m_max": 6, "column_m_max": 8}
+def _collect(node: dict, field: str) -> dict:
+    """The ``field`` of every property below ``node`` that has one, nested as
+    the config is."""
+    out = {}
+    for key, sub in node.get("properties", {}).items():
+        if field in sub:
+            out[key] = sub[field]
+        elif inner := _collect(sub, field):
+            out[key] = inner
+    return out
 
-# Work budgets of the other sections, per key with the rest of the section at
-# its defaults: the largest value measured to finish within the budget of the
-# section's acceptance criterion (kernel sums, criterion 6, and the invariance
-# word lengths, criteria 7 and 8: 60 s; psi and the positivity check,
-# criterion 9: 120 s; reconstruction, criterion 10: 120 s) on a shared 2-vCPU
-# host.  At the caps the kernel sums took 8.5 s, 6.3 s and 33 s, the
-# exchangeable section 13 s, 12 s and 32 s, spreadable 8.9 s, bvalued 9.4 s,
-# psi 80 s, 97 s and 84 s, reconstruction 60 s, 28 s, 9.6 s and 4.2 s,
-# positivity 19 s; one step above, every key run exceeded its budget
-# (unit_n_max, cheap since the unit identity is grouped by kernel, was not
-# run above 256).
-# The kernel_sums, psi and positivity caps are the direct-call budgets of
-# their checks, read from there; m_max bounds the sweep over all n! reps.
-# The other sweep sizes, by the same rule (theta_count stepped by a factor of
-# 2, the rest by 1): nc.m_max is the enumeration limit (1.8 s against
-# criterion 1's 5 s); roundtrip 10.8 s and 15.7 s (one step above, 68 s and
-# 81 s) against criterion 3's 30 s; relations 5.1 s and 4.0 s (11.1 s and
-# 11.4 s) against criterion 4's 10 s; extension 21.5 s and 15.2 s (48 s and
-# 36 s) against criterion 5's 30 s.  The block family's sizes (n with
-# dim = n, the smallest dim it admits), each run under a timeout at its
-# budget: relations k, n and dim took 7.9 s, 7.8 s and 9.7 s against
-# criterion 4's 10 s; spreadable k and dim 11 s and 59 s against 60 s.  One
-# step above, each timed out, but spreadable n = 9: its k*n = 18 rows exceed
-# INCREASING_N_MAX.
-WORK_CAPS = {
-    "nc": {**NC_M_CAPS, "m_max": NC_ENUMERATION_LIMIT},
-    "roundtrip": {"scalar_m_max": ROUNDTRIP_CAPS["m"], "matrix_m_max": ROUNDTRIP_CAPS["m"]},
-    "relations": {"theta_count": 10_000, "classical_n_max": 10,
-                  "block": {"k": 28, "n": 78, "dim": 904}},
-    "extension": {"theta_count": 10_000, "classical_n_max": 11},
-    "kernel_sums": {"n_max": KERNEL_SUMS_CAPS["k"], "m_max": 5,
-                    "quantum_m_max": KERNEL_SUMS_CAPS["max_len"]},
-    "exchangeable": {"max_word_len": 8, "extended_word_len": 7, "spot_length": 9},
-    "spreadable": {"max_word_len": 7, "block": {"k": 6, "n": 8, "dim": 736}},
-    "bvalued": {"max_word_len": 6},
-    "psi": ORACLE_CAPS,
-    "reconstruction": {"m_max": 6, "n_max": 32, "unit_m_max": 6, "unit_n_max": 256},
-    "positivity": {"max_len": POSITIVITY_CAPS["max_len"]},
-}
-# The keys each law kind reads beside "kind", each with a value of the type it
-# must have, which for the matrix sizes d and D is also their default.
-LAW_KEYS = {"semicircular": {}, "scalar_moments": {"moments": []}, "matrix": {"d": 2, "D": 2},
-            "rational_matrix": {"d": 2, "D": 2}, "independent": {"moments": {}}}
+
+DEFAULT_CONFIG: dict = _collect(_SCHEMA, "default")
+# Work budgets, the schema's maximums (their measurements are in its descriptions).
+WORK_CAPS = _collect(_SCHEMA, "maximum")
+NC_M_CAPS = {key: cap for key, cap in WORK_CAPS["nc"].items() if key != "m_max"}
 # Work budget of a matrix law, per kind and for the bvalued section's own: a
 # cap on the side d*D of the ambient matrices it multiplies, the largest side
 # at which the sections reading it finished within criteria 7-8's 60 s with
@@ -161,68 +101,86 @@ GRAM_SIZE_CAP = POSITIVITY_CAPS["gram_size"]
 
 
 class ConfigError(ValueError):
-    """A config key that DEFAULT_CONFIG lacks, a value of the wrong type, or
-    work above a stated budget."""
+    """A config key or value that config.schema.json does not admit, or work
+    above a stated budget."""
+
+
+def _law_variant(kind: str) -> dict:
+    return next(variant for variant in _SCHEMA["properties"]["law"]["oneOf"]
+                if variant["properties"]["kind"]["const"] == kind)
+
+
+_TYPES = {"object": dict, "array": list, "boolean": bool, "integer": int, "number": (int, float)}
+
+
+def _check(node: dict, value, where: str) -> None:
+    """Raise ConfigError naming ``where`` unless ``value`` satisfies the schema
+    ``node``, in the part of JSON Schema that config.schema.json uses, where a
+    float is never an integer and a number must be finite."""
+    kind = node.get("type")
+    if kind and (isinstance(value, bool) != (kind == "boolean")
+                 or not isinstance(value, _TYPES[kind])):
+        raise ConfigError(f"config key {where!r} must be {kind}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
+    if "enum" in node and value not in node["enum"]:
+        raise ConfigError(f"config key {where!r} must be one of "
+                          f"{', '.join(node['enum'])}, got {value!r}")
+    if "minimum" in node and value < node["minimum"]:
+        raise ConfigError(f"config key '{where}' must be >= {node['minimum']}, got {value}")
+    if "maximum" in node and value > node["maximum"]:
+        raise ConfigError(f"config key '{where}' must be <= {node['maximum']} "
+                          f"(work budget), got {value}")
+    if "properties" in node:
+        for key, item in value.items():
+            path = f"{where}.{key}" if where else key
+            if key in node["properties"]:
+                _check(node["properties"][key], item, path)
+            elif node.get("additionalProperties") is False:
+                raise ConfigError(f"unknown config key {path!r}")
+    if "oneOf" in node:  # the law, checked against the variant its kind names
+        variant = _law_variant(value["kind"])
+        for key in variant.get("required", ()):
+            if key not in value:
+                raise ConfigError(f"config key '{where}.{key}' is needed by kind "
+                                  f"{value['kind']!r}")
+        _check(variant, value, where)
+
+
+def _merge(base, over):
+    """``over`` written over ``base``, key by key where both are objects."""
+    if isinstance(base, dict) and isinstance(over, dict):
+        return {**base, **{key: _merge(base.get(key), value) for key, value in over.items()}}
+    return over
+
+
+def _law_with_defaults(law: dict) -> dict:
+    """``law`` with each key its kind's variant gives a default, where left out."""
+    return {**_collect(_law_variant(law["kind"]), "default"), **law}
 
 
 def merge_config(overrides: dict | None) -> dict:
     """DEFAULT_CONFIG with ``overrides`` merged in, key by key, as a copy
     that shares no dict with DEFAULT_CONFIG.
 
-    Every key must exist in DEFAULT_CONFIG, with a value of the default's
-    type (an int passes for a float, a bool never for a number), but the
-    keys inside ``law`` are those that LAW_KEYS gives its kind.  The sizes
-    must stay within WORK_CAPS, LAW_SIDE_CAPS, BVALUED_SIDE_CAP and
-    GRAM_SIZE_CAP, and each block family must fit its checks.  Raises
-    ConfigError naming the dotted path of the first offending key.
+    The result must satisfy config.schema.json (see ``_check``), and then
+    the rules the schema cannot state: the matrix sides d*D within
+    LAW_SIDE_CAPS and BVALUED_SIDE_CAP, each block family fitting its
+    checks, and the Gram size within GRAM_SIZE_CAP.  ``law`` is merged as
+    given, not filled in with its kind's defaults.  Raises ConfigError
+    naming the dotted path of the first offending key.
     """
-    def deep(base, over, path):
-        out = dict(base)
-        for key, value in over.items():
-            where = f"{path}.{key}" if path else key
-            if key not in base:
-                raise ConfigError(f"unknown config key {where!r}")
-            if isinstance(base[key], dict) and path != "law":  # a law key is a leaf
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config key {where!r} must be an object")
-                if where == "law":  # checked against the keys its kind reads, not filled in
-                    kind = value.get("kind", base[key]["kind"])
-                    if not isinstance(kind, str) or kind not in LAW_KEYS:
-                        raise ConfigError(f"config key 'law.kind' must be one of "
-                                          f"{', '.join(LAW_KEYS)}, got {kind!r}")
-                    if "moments" in LAW_KEYS[kind] and "moments" not in value:
-                        raise ConfigError(f"config key 'law.moments' is needed by kind {kind!r}")
-                    deep({"kind": kind, **LAW_KEYS[kind]}, value, where)
-                    if kind in LAW_SIDE_CAPS:
-                        side_within({**LAW_KEYS[kind], **value}, LAW_SIDE_CAPS[kind], where)
-                    out[key] = {**base[key], **value}
-                else:
-                    out[key] = deep(base[key], value, where)
-            elif _same_type(value, base[key]):
-                out[key] = value
-            else:
-                raise ConfigError(f"config key {where!r} must be "
-                                  f"{type(base[key]).__name__}, got {value!r}")
-        return out
-
-    if not isinstance(overrides or {}, dict):
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
         raise ConfigError("the config must be a JSON object")
-    def within(values, caps, path):
-        for key, cap in caps.items():
-            where = f"{path}.{key}" if path else key
-            if isinstance(cap, dict):
-                within(values[key], cap, where)
-            elif values[key] > cap:
-                raise ConfigError(f"config key '{where}' must be <= {cap} "
-                                  f"(work budget), got {values[key]}")
-    def side_within(sizes, cap, path):
-        if sizes["d"] * sizes["D"] > cap:
+    merged = _merge(copy.deepcopy(DEFAULT_CONFIG), overrides)
+    _check(_SCHEMA, merged, "")
+    law = _law_with_defaults(merged["law"])
+    for path, sizes, cap in (("law", law, LAW_SIDE_CAPS.get(law["kind"])),
+                             ("bvalued", merged["bvalued"], BVALUED_SIDE_CAP)):
+        if cap is not None and sizes["d"] * sizes["D"] > cap:
             raise ConfigError(f"config keys '{path}.d' and '{path}.D' give matrices of side "
                               f"{sizes['d'] * sizes['D']}, must be <= {cap} (work budget)")
-
-    merged = deep(copy.deepcopy(DEFAULT_CONFIG), overrides or {}, "")
-    within(merged, WORK_CAPS, "")
-    side_within(merged["bvalued"], BVALUED_SIDE_CAP, "bvalued")
     for section in ("relations", "spreadable"):
         block = merged[section]["block"]
         if block["dim"] < block["n"]:
@@ -238,14 +196,6 @@ def merge_config(overrides: dict | None) -> dict:
                           f"'positivity.max_len' give a Gram matrix of size {size}, "
                           f"must be <= {GRAM_SIZE_CAP} (work budget)")
     return merged
-
-
-def _same_type(value, default) -> bool:
-    if isinstance(value, bool) or isinstance(default, bool):
-        return isinstance(value, bool) and isinstance(default, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
 
 
 def _parse_scalar(value):
@@ -269,7 +219,7 @@ def build_sequence(spec: dict, seed: int, cache: MobiusCache):
         law = ScalarLaw([_parse_scalar(v) for v in spec["moments"]])
     else:
         make = random_matrix_law if kind == "matrix" else random_rational_matrix_law
-        sizes = {**LAW_KEYS[kind], **spec}  # d and D left out take their defaults
+        sizes = _law_with_defaults(spec)
         law = make(sizes["d"], sizes["D"], seed)
     return FreeSequence(law, cache)
 
@@ -656,8 +606,6 @@ def run_section(name: str, config: dict, cache: MobiusCache) -> list[CheckReport
 
 
 def run_all(config: dict) -> list[CheckReport]:
-    import json as _json
-
     cache = MobiusCache()
     reports: list[CheckReport] = []
     for section, _ in SUITE_SECTIONS:
@@ -666,5 +614,5 @@ def run_all(config: dict) -> list[CheckReport]:
     # identically ordered streams
     return sorted(
         reports,
-        key=lambda r: (r.check_name, _json.dumps(r.params, sort_keys=True, default=str)),
+        key=lambda r: (r.check_name, json.dumps(r.params, sort_keys=True, default=str)),
     )

@@ -45,7 +45,7 @@ from .partitions import (
 )
 from .reports import CheckReport, ResidualTracker, require_within
 
-# Work budgets of the oracle sweep and the positivity check (see suites.WORK_CAPS).
+# Work budgets of the oracle sweep and the positivity check (see config.schema.json).
 ORACLE_CAPS = {"k_max": 10, "n_max": 10, "m_max": 6}
 POSITIVITY_CAPS = {"max_len": 4, "gram_size": 341}
 
