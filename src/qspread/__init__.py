@@ -37,7 +37,7 @@ from .qis import (
     quantum_extension,
     two_projection_rep,
 )
-from .qperm import check_magic_unitary, convolution, permutation_rep, two_point_rep
+from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .invariance import (
     check_bvalued_spreadable,
     check_exchangeable,
@@ -46,7 +46,6 @@ from .invariance import (
     kernel_constrained_sum,
 )
 from .weingarten import (
-    BlockQuery,
     block_state_moment,
     combinatorial_unit_identity,
     finite_n_reconstruction,

@@ -112,17 +112,22 @@ COMMAND_HELP = {
 }
 
 
-def run_subcommand(args, config) -> list[CheckReport]:
-    """The reports of the sections of ``args``' subcommand, on ``config``
-    with each flag given written over its key and validated again."""
-    sections, flags = SUBCOMMANDS[(args.command, args.sub)]
+def with_flags(args, config: dict, flags: dict) -> dict:
+    """``config`` with each flag of ``args`` given written over the dotted
+    key ``flags`` names for it, and validated again."""
     overrides = {}
     for flag, key in flags.items():
         if getattr(args, flag) is not None:
             section, leaf = key.split(".")
             overrides.setdefault(section, dict(config[section]))[leaf] = getattr(args, flag)
-    if overrides:
-        config = merge_config({**config, **overrides})
+    return merge_config({**config, **overrides}) if overrides else config
+
+
+def run_subcommand(args, config) -> list[CheckReport]:
+    """The reports of the sections of ``args``' subcommand, on ``config``
+    with its flags written over their keys."""
+    sections, flags = SUBCOMMANDS[(args.command, args.sub)]
+    config = with_flags(args, config, flags)
     if sections is None:
         return run_all(config)
     cache = MobiusCache()
@@ -130,9 +135,8 @@ def run_subcommand(args, config) -> list[CheckReport]:
 
 
 def cmd_qperm_magic(args, config) -> list[CheckReport]:
-    rep = parse_rep_spec(args.rep)
-    tol = args.tolerance if args.tolerance is not None else config["tolerances"]["magic"]
-    report = check_magic_unitary(rep, tolerance=tol)
+    config = with_flags(args, config, {"tolerance": "tolerances.magic"})
+    report = check_magic_unitary(parse_rep_spec(args.rep), tolerance=config["tolerances"]["magic"])
     report.params["rep"] = args.rep
     return [report]
 
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     qperm_magic.add_argument("--rep", required=True,
                              help="permutation:2,1 | projection:theta=0.8 | "
                                   "extended:theta=0.8 | path.json")
-    qperm_magic.add_argument("--tolerance", type=float)
+    qperm_magic.add_argument("--tolerance", type=float, help="overrides tolerances.magic")
 
     sub.add_parser("config", parents=[common],
                    help="print the effective configuration")

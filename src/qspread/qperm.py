@@ -2,9 +2,10 @@
 
 A magic unitary is a square matrix of projections whose rows and columns each
 sum to the identity; in-row and in-column orthogonality then follows.  The
-comultiplication of the underlying quantum symmetry only ever appears here
-through the convolution of two concrete families, w_{ij} = sum_k u_{ik} (x)
-v_{kj}; the counit corresponds to the identity permutation representation.
+counit of the underlying quantum symmetry corresponds to the identity
+permutation representation; its comultiplication, the convolution
+w_{ij} = sum_k u_{ik} (x) v_{kj} of two concrete families, is a test helper
+(``tests/helpers.py``).
 """
 from __future__ import annotations
 
@@ -68,29 +69,3 @@ def check_magic_unitary(
 
     return _relations_report(rep, "magic_unitary", tolerance, seed, {"n": rep.n, "dim": rep.dim},
                              [(itertools.product(span, span), sums)], products())
-
-
-def convolution(rep_u: Representation, rep_v: Representation) -> Representation:
-    """Tensor convolution: w_{ij} = sum_t u_{it} (x) v_{tj}.
-
-    Produces a family of the product dimension; it satisfies the magic
-    unitary conditions whenever both inputs do, which is the executable form
-    of the comultiplication being well defined.
-    """
-    if rep_u.kind != "permutation" or rep_v.kind != "permutation":
-        raise ValueError("convolution needs permutation-kind representations")
-    if rep_u.n != rep_v.n:
-        raise ValueError(f"size mismatch: {rep_u.n} vs {rep_v.n}")
-    n = rep_u.n
-    gens = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            total = None
-            for t in range(1, n + 1):
-                term = np.kron(rep_u.gen(i, t), rep_v.gen(t, j))
-                total = term if total is None else total + term
-            gens[(i, j)] = total
-    return Representation(
-        kind="permutation", k=n, n=n, gens=gens, dim=rep_u.dim * rep_v.dim,
-        seed=rep_u.seed,
-    )

@@ -159,16 +159,46 @@ def _law_with_defaults(law: dict) -> dict:
     return {**_collect(_law_variant(law["kind"]), "default"), **law}
 
 
+def _moment(value, where: str):
+    """A moment entry: a finite float as given, an int or a p/q string as a Fraction."""
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    try:
+        if not isinstance(value, (bool, float)):
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError(f"config key {where!r} must hold integers, finite numbers or "
+                      f"fraction strings, got {value!r}")
+
+
+def _moment_lists(law: dict) -> dict:
+    """The moment lists of a law, read by ``_moment``: scalar_moments' under
+    None, independent's under each index, none for other kinds; raises
+    ConfigError at a list not starting with 1 or not under an index >= 1."""
+    given = {None: law["moments"]} if law["kind"] == "scalar_moments" else law.get("moments", {})
+    lists = {}
+    for index, moments in given.items():
+        where = "law.moments" if index is None else f"law.moments.{index}"
+        if index is not None and not (index.isascii() and index.isdecimal() and index[0] != "0"):
+            raise ConfigError(f"config key {where!r} must be a positive integer index")
+        lists[index] = [_moment(v, where) for v in moments] if isinstance(moments, list) else []
+        if lists[index][:1] != [1]:
+            raise ConfigError(f"config key {where!r} must be a list starting with 1, "
+                              f"got {moments!r}")
+    return lists
+
+
 def merge_config(overrides: dict | None) -> dict:
     """DEFAULT_CONFIG with ``overrides`` merged in, key by key, as a copy
     that shares no dict with DEFAULT_CONFIG.
 
     The result must satisfy config.schema.json (see ``_check``), and then
-    the rules the schema cannot state: the matrix sides d*D within
-    LAW_SIDE_CAPS and BVALUED_SIDE_CAP, each block family fitting its
-    checks, and the Gram size within GRAM_SIZE_CAP.  ``law`` is merged as
-    given, not filled in with its kind's defaults.  Raises ConfigError
-    naming the dotted path of the first offending key.
+    the rules the schema cannot state: the law's moment lists, the matrix
+    sides d*D within LAW_SIDE_CAPS and BVALUED_SIDE_CAP, each block family
+    fitting its checks, and the Gram size within GRAM_SIZE_CAP.  ``law`` is
+    merged as given, not filled in with its kind's defaults.  Raises
+    ConfigError naming the dotted path of the first offending key.
     """
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
@@ -176,6 +206,7 @@ def merge_config(overrides: dict | None) -> dict:
     merged = _merge(copy.deepcopy(DEFAULT_CONFIG), overrides)
     _check(_SCHEMA, merged, "")
     law = _law_with_defaults(merged["law"])
+    _moment_lists(law)
     for path, sizes, cap in (("law", law, LAW_SIDE_CAPS.get(law["kind"])),
                              ("bvalued", merged["bvalued"], BVALUED_SIDE_CAP)):
         if cap is not None and sizes["d"] * sizes["D"] > cap:
@@ -198,25 +229,17 @@ def merge_config(overrides: dict | None) -> dict:
     return merged
 
 
-def _parse_scalar(value):
-    return Fraction(value) if isinstance(value, (str, int)) else value
-
-
 def build_sequence(spec: dict, seed: int, cache: MobiusCache):
     """The sequence model of a ``law`` section that ``merge_config`` checked:
     the broken model for kind "independent", else the free i.i.d. sequence
     of the kind's law."""
     kind = spec["kind"]
     if kind == "independent":
-        lists = {
-            int(idx): [_parse_scalar(v) for v in ms]
-            for idx, ms in spec["moments"].items()
-        }
-        return IndependentSequence(lists)
+        return IndependentSequence({int(i): ms for i, ms in _moment_lists(spec).items()})
     if kind == "semicircular":
         law = semicircular_law()
     elif kind == "scalar_moments":
-        law = ScalarLaw([_parse_scalar(v) for v in spec["moments"]])
+        law = ScalarLaw(_moment_lists(spec)[None])
     else:
         make = random_matrix_law if kind == "matrix" else random_rational_matrix_law
         sizes = _law_with_defaults(spec)

@@ -5,7 +5,9 @@ For a rectangular family with k columns and k*n rows, stack one projection-
 valued partition of unity per column into disjoint row bands and take the
 columns to be freely independent, each projection carrying weight 1/n.  The
 induced state has an exact closed form: a double sum over non-crossing
-partitions weighted by Mobius values and powers of 1/n.
+partitions weighted by Mobius values and powers of 1/n.  A query is a word
+``(rows, cols, n)``: its r-th letter is the projection in row rows[r] of
+column cols[r], where column j occupies rows (j-1)n+1..jn.
 
 Two independent routes to the same numbers live here.  ``block_state_moment``
 evaluates the closed form; ``free_projection_oracle`` never sees that formula
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,52 +51,20 @@ ORACLE_CAPS = {"k_max": 10, "n_max": 10, "m_max": 6}
 POSITIVITY_CAPS = {"max_len": 4, "gram_size": 341}
 
 
-@dataclass(frozen=True)
-class BlockQuery:
-    """A word query against the banded family: rows in {1..k*n}, columns in
-    {1..k}, equal length m >= 1."""
-
-    k: int
-    n: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
-        m = len(self.rows)
-        if m < 1 or len(self.cols) != m:
-            raise ValueError("rows and cols must have equal positive length")
-        if not 1 <= min(self.rows) <= max(self.rows) <= self.k * self.n:
-            raise ValueError(f"row index out of range 1..{self.k * self.n}")
-        if not 1 <= min(self.cols) <= max(self.cols) <= self.k:
-            raise ValueError(f"column index out of range 1..{self.k}")
-
-    @classmethod
-    def _of(cls, k: int, n: int, rows: tuple[int, ...], cols: tuple[int, ...]):
-        """A query that is valid by construction, built without the checks."""
-        q = object.__new__(cls)
-        q.__dict__.update(k=k, n=n, rows=rows, cols=cols)
-        return q
-
-    def in_band(self) -> bool:
-        return all(
-            (j - 1) * self.n < l <= j * self.n for l, j in zip(self.rows, self.cols)
-        )
-
-    def band_offsets(self) -> tuple[int, ...]:
-        """The within-band indices i_r = l_r - (j_r - 1) n; requires in_band."""
-        if not self.in_band():
-            raise ValueError("query leaves the column bands")
-        return tuple(l - (j - 1) * self.n for l, j in zip(self.rows, self.cols))
+def _band_offsets(rows: tuple, cols: tuple, n: int) -> tuple | None:
+    """The within-band indices l - (j - 1) n of a query, or None when a row l
+    leaves the band (j - 1) n < l <= j n of its column j."""
+    offsets = tuple(l - (j - 1) * n for l, j in zip(rows, cols, strict=True))
+    return offsets if all(0 < i <= n for i in offsets) else None
 
 
-def block_state_moment(q: BlockQuery, cache: MobiusCache) -> Fraction:
+def block_state_moment(rows: tuple, cols: tuple, n: int, cache: MobiusCache) -> Fraction:
     """Closed-form moment of the state: zero off the bands, otherwise the
     Mobius-weighted double sum over non-crossing partitions."""
-    if not q.in_band():
+    offsets = _band_offsets(rows, cols, n)
+    if offsets is None:
         return Fraction(0)
-    return reconstruction_weight(q.cols, q.band_offsets(), q.n, cache)
+    return reconstruction_weight(cols, offsets, n, cache)
 
 
 def _column_cumulant(labels: tuple[int, ...], n: int, cache: MobiusCache) -> int:
@@ -114,25 +83,27 @@ def _column_cumulant(labels: tuple[int, ...], n: int, cache: MobiusCache) -> int
     return hit
 
 
-def free_projection_oracle(q: BlockQuery, cache: MobiusCache) -> Fraction:
+def free_projection_oracle(rows: tuple, cols: tuple, n: int, cache: MobiusCache) -> Fraction:
     """The same moment computed without the closed formula.
 
     Freeness of the columns says the moment is the sum, over non-crossing
     partitions lying below the column kernel, of the product of one free
     cumulant per block; each block cumulant is recovered from same-column
-    moments by Mobius inversion.  Exact rational output.
+    moments by Mobius inversion.  Exact rational output; a query off the
+    bands raises ValueError.
     """
-    n = q.n
-    offsets = q.band_offsets()
+    offsets = _band_offsets(rows, cols, n)
+    if offsets is None:
+        raise ValueError("query leaves the column bands")
     total = 0
-    for pi in cache.below(kernel(q.cols)):
+    for pi in cache.below(kernel(cols)):
         term = 1
         for block in pi.blocks:
             term *= _column_cumulant(kernel_rgs(offsets[x - 1] for x in block), n, cache)
             if not term:
                 break
         total += term
-    return Fraction(total, n ** len(q.cols))
+    return Fraction(total, n ** len(cols))
 
 
 def reconstruction_weight(
@@ -235,9 +206,8 @@ def oracle_equivalence_sweep(
                 for cols in itertools.product(range(1, k + 1), repeat=m):
                     bands = [range((j - 1) * n + 1, j * n + 1) for j in cols]
                     for rows in itertools.product(*bands):
-                        q = BlockQuery._of(k, n, rows, cols)
-                        psi = block_state_moment(q, cache)
-                        oracle = free_projection_oracle(q, cache)
+                        psi = block_state_moment(rows, cols, n, cache)
+                        oracle = free_projection_oracle(rows, cols, n, cache)
                         tracker.add(("query", k, n, rows, cols),
                                     0 if psi == oracle else abs(psi - oracle))
     for k in range(1, min(k_max, 3) + 1):
@@ -245,10 +215,9 @@ def oracle_equivalence_sweep(
             for m in range(1, min(m_max, 2) + 1):
                 for cols in itertools.product(range(1, k + 1), repeat=m):
                     for rows in itertools.product(range(1, k * n + 1), repeat=m):
-                        q = BlockQuery(k, n, rows, cols)
-                        if not q.in_band():
+                        if _band_offsets(rows, cols, n) is None:
                             tracker.add(("off-band", k, n, rows, cols),
-                                        abs(block_state_moment(q, cache)))
+                                        abs(block_state_moment(rows, cols, n, cache)))
     return tracker.report()
 
 
@@ -283,7 +252,7 @@ def state_positivity_evidence(
             return Fraction(1)
         rows = tuple(l for l, _ in word)
         cols = tuple(j for _, j in word)
-        return block_state_moment(BlockQuery(k, n, rows, cols), cache)
+        return block_state_moment(rows, cols, n, cache)
 
     size = len(words)
     gram = np.zeros((size, size), dtype=float)

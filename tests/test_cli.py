@@ -83,6 +83,14 @@ BAD_KEYS = [
      ["inv", "spreadable"]),
     ({"spreadable": {"block": {"n": 3}}}, "'spreadable.block.dim'", ["inv", "spreadable"]),
     ({"relations": {"block": {"n": 3}}}, "'relations.block.dim'", ["qis", "relations"]),
+    ({"law": {"kind": "scalar_moments", "moments": ["x", 0, 1]}}, "'law.moments'",
+     ["inv", "exchangeable"]),
+    ({"law": {"kind": "independent", "moments": {"a": [1, 0, 1]}}}, "'law.moments.a'",
+     ["inv", "exchangeable"]),
+    ({"law": {"kind": "scalar_moments", "moments": [1, math.nan, 1]}}, "'law.moments'",
+     ["inv", "exchangeable"]),
+    ({"law": {"kind": "scalar_moments", "moments": [2, 0, 1]}}, "'law.moments'",
+     ["inv", "exchangeable"]),
 ]
 
 # (overrides, the key the error names)
@@ -365,6 +373,36 @@ class TestRepSpecs:
         assert report["params"]["rep"] == spec and report["status"] == "pass"
 
 
+class TestMagicTolerance:
+    """``qperm magic --tolerance`` overrides tolerances.magic and is validated
+    with the config, so a value the config does not admit exits 2 naming the
+    key before any check runs."""
+
+    @staticmethod
+    def not_a_projection(tmp_path) -> str:
+        rep = permutation_rep((1, 2))
+        rep.gens[(1, 1)] = rep.gens[(1, 1)] * 3  # u_11 = 3 is no projection
+        path = tmp_path / "bad.json"
+        path.write_text(rep_to_json(rep))
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"], ids=["inf", "nan", "negative"])
+    def test_inadmissible_value_is_2(self, tmp_path, capsys, value):
+        argv = ["qperm", "magic", "--rep", self.not_a_projection(tmp_path), "--tolerance", value]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "'tolerances.magic'" in out.err, out.err
+
+    def test_flag_overrides_the_config(self, tmp_path, capsys):
+        rep = self.not_a_projection(tmp_path)
+        config = write_config(tmp_path, {"tolerances": {"magic": 10}})
+        assert main(["qperm", "magic", "--rep", rep, "--config", config]) == 0
+        assert main(["qperm", "magic", "--rep", rep, "--config", config,
+                     "--tolerance", "0.5"]) == 1
+        first, second = read_reports(capsys)
+        assert (first["params"]["tolerance"], second["params"]["tolerance"]) == (10, 0.5)
+
+
 class TestMalformedRepFile:
     """A representation file that does not match the schema is a usage
     error (exit 2 with ``error: ...``), never a traceback or a silent pass."""
@@ -575,6 +613,10 @@ class TestConfigValidation:
         ({"spreadable": {"block": {"n": 3}}}, "dim >= n"),
         ({"relations": {"block": {"n": 3}}}, "dim >= n"),
         ({"positivity": {"n": 9}}, "the Gram size"),
+        ({"law": {"kind": "scalar_moments", "moments": ["x", 0, 1]}}, "the moment lists"),
+        ({"law": {"kind": "independent", "moments": {"a": [1, 0, 1]}}}, "the moment lists"),
+        ({"law": {"kind": "scalar_moments", "moments": [1, math.nan, 1]}}, "the moment lists"),
+        ({"law": {"kind": "scalar_moments", "moments": [2, 0, 1]}}, "the moment lists"),
     ]
 
     def test_schema_and_merge_config_agree(self):
@@ -607,6 +649,7 @@ class TestConfigValidation:
             cases += [{"law": {"kind": kind, key: 1}}, {"law": {"kind": kind, key: 0}}]
         for law in ({}, {"kind": "semicircular"}, {"kind": "matrix", "d": 3},
                     {"kind": "scalar_moments", "moments": [1, 0, 1]},
+                    {"kind": "scalar_moments", "moments": ["1", 0.5, "2/3"]},
                     {"kind": "independent", "moments": {"1": [1]}}, {"moments": [1]},
                     {"kind": "independent", "moments": [1]},
                     {"kind": "rational_matrix", "d": 1.5}):

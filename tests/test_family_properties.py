@@ -19,10 +19,10 @@ from qspread.qis import (
     extend_to_permutation,
     quantum_extension,
 )
-from qspread.qperm import check_magic_unitary, convolution, permutation_rep
+from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO
 
-from helpers import compose
+from helpers import compose, convolution
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 

@@ -49,9 +49,11 @@ from qspread.qis import (
     quantum_extension,
     two_projection_rep,
 )
-from qspread.qperm import convolution, permutation_rep, two_point_rep
+from qspread.qperm import permutation_rep, two_point_rep
 from qspread.reports import EXACT_ZERO
 from qspread.suites import DEFAULT_CONFIG, _broken_sequence
+
+from helpers import convolution
 
 CACHE = MobiusCache()
 SEED = 20260810  # the seed of the acceptance criteria and the default config

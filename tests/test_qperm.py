@@ -7,15 +7,10 @@ import pytest
 
 from qspread.linalg import projection_pair, residual_norm
 from qspread.qis import quantum_extension, two_projection_rep
-from qspread.qperm import (
-    check_magic_unitary,
-    convolution,
-    permutation_rep,
-    two_point_rep,
-)
+from qspread.qperm import check_magic_unitary, permutation_rep, two_point_rep
 from qspread.reports import EXACT_ZERO
 
-from helpers import compose
+from helpers import compose, convolution
 
 
 def all_permutations(n):

@@ -11,7 +11,7 @@ from qspread.partitions import MobiusCache, OrderError, Partition, kernel, leq, 
 from qspread.reports import EXACT_ZERO
 from qspread.suites import DEFAULT_CONFIG, _kernel_pattern_tuples
 from qspread.weingarten import (
-    BlockQuery,
+    _band_offsets,
     block_state_moment,
     combinatorial_unit_identity,
     finite_n_reconstruction,
@@ -38,60 +38,52 @@ def enumerated_unit_sum(tau: Partition, cols, n: int, cache: MobiusCache) -> Fra
     return total
 
 
-class TestBlockQuery:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BlockQuery(2, 2, (5,), (1, 2))  # length mismatch
-        with pytest.raises(ValueError):
-            BlockQuery(2, 2, (9,), (1,))  # row out of range
-        with pytest.raises(ValueError):
-            BlockQuery(2, 2, (1,), (3,))  # column out of range
-
-    def test_band_detection(self):
-        assert BlockQuery(2, 2, (1, 4), (1, 2)).in_band()
-        assert not BlockQuery(2, 2, (3,), (1,)).in_band()
-        assert BlockQuery(2, 2, (1, 4), (1, 2)).band_offsets() == (1, 2)
+class TestBandOffsets:
+    def test_matches_the_band_definition(self):
+        # row l of column j is in band when (j - 1) n < l <= j n, at every position
+        for k, n, m in itertools.product(range(1, 4), range(1, 4), range(1, 3)):
+            for cols in itertools.product(range(1, k + 1), repeat=m):
+                for rows in itertools.product(range(1, k * n + 1), repeat=m):
+                    pairs = list(zip(rows, cols))
+                    in_band = all((j - 1) * n < l <= j * n for l, j in pairs)
+                    expected = tuple(l - (j - 1) * n for l, j in pairs) if in_band else None
+                    assert _band_offsets(rows, cols, n) == expected, (k, n, rows, cols)
 
 
 class TestStateMoment:
     def test_single_letter(self):
         for n in (1, 2, 3, 5):
-            q = BlockQuery(2, n, (n + 1,), (2,))  # first row of the second band
-            assert block_state_moment(q, CACHE) == Fraction(1, n)
+            # first row of the second band
+            assert block_state_moment((n + 1,), (2,), n, CACHE) == Fraction(1, n)
 
     def test_same_column_distinct_rows_vanish(self):
-        q = BlockQuery(2, 3, (1, 2), (1, 1))
-        assert block_state_moment(q, CACHE) == 0
+        assert block_state_moment((1, 2), (1, 1), 3, CACHE) == 0
 
     def test_same_column_equal_rows_collapse(self):
-        q = BlockQuery(2, 3, (2, 2), (1, 1))
-        assert block_state_moment(q, CACHE) == Fraction(1, 3)
+        assert block_state_moment((2, 2), (1, 1), 3, CACHE) == Fraction(1, 3)
 
     def test_off_band_zero_pattern(self):
         for k, n in [(2, 2), (3, 2)]:
             for cols in itertools.product(range(1, k + 1), repeat=2):
                 for rows in itertools.product(range(1, k * n + 1), repeat=2):
-                    q = BlockQuery(k, n, rows, cols)
-                    if not q.in_band():
-                        assert block_state_moment(q, CACHE) == 0
+                    if _band_offsets(rows, cols, n) is None:
+                        assert block_state_moment(rows, cols, n, CACHE) == 0
 
 
 class TestOracle:
     def test_single_letter(self):
-        q = BlockQuery(3, 4, (5,), (2,))
-        assert free_projection_oracle(q, CACHE) == Fraction(1, 4)
+        assert free_projection_oracle((5,), (2,), 4, CACHE) == Fraction(1, 4)
 
     def test_same_column_words(self):
         # products within one column collapse: pick k=2, n=3, column 2
         for rows in itertools.product(range(4, 7), repeat=3):
-            q = BlockQuery(2, 3, rows, (2, 2, 2))
             expected = Fraction(1, 3) if len(set(rows)) == 1 else Fraction(0)
-            assert free_projection_oracle(q, CACHE) == expected
+            assert free_projection_oracle(rows, (2, 2, 2), 3, CACHE) == expected
 
     def test_alternating_two_column_word(self):
-        q = BlockQuery(2, 2, (1, 3, 1, 3), (1, 2, 1, 2))
-        psi = block_state_moment(q, CACHE)
-        oracle = free_projection_oracle(q, CACHE)
+        query = ((1, 3, 1, 3), (1, 2, 1, 2), 2)
+        psi = block_state_moment(*query, CACHE)
+        oracle = free_projection_oracle(*query, CACHE)
         assert psi == oracle
         # hand value for free projections p, q of trace 1/2: center p = 1/2+a,
         # q = 1/2+b with a^2 = b^2 = 1/4 and vanishing alternating moments, so
@@ -100,7 +92,7 @@ class TestOracle:
 
     def test_off_band_rejected(self):
         with pytest.raises(ValueError):
-            free_projection_oracle(BlockQuery(2, 2, (3,), (1,)), CACHE)
+            free_projection_oracle((3,), (1,), 2, CACHE)
 
     def test_small_sweep_matches(self):
         report = oracle_equivalence_sweep(2, 2, 4, CACHE)
@@ -238,7 +230,8 @@ class TestPositivityEvidence:
 
         calls = []
         monkeypatch.setattr(weingarten, "block_state_moment",
-                            lambda q, cache: calls.append(q) or block_state_moment(q, cache))
+                            lambda rows, cols, n, cache: calls.append((rows, cols))
+                            or block_state_moment(rows, cols, n, cache))
         report = state_positivity_evidence(2, 2, max_len=2, tolerance=1e-10, cache=CACHE)
         size = report.params["gram_size"]
         assert len(calls) == size * (size + 1) // 2 - 1
@@ -249,7 +242,7 @@ class TestPositivityEvidence:
             if not word:
                 return 1.0
             return float(block_state_moment(
-                BlockQuery(2, 2, tuple(l for l, _ in word), tuple(j for _, j in word)), CACHE))
+                tuple(l for l, _ in word), tuple(j for _, j in word), 2, CACHE))
 
         full = np.array([[psi(tuple(reversed(wa)) + wb) for wb in words] for wa in words])
         assert np.array_equal(full, full.T)
