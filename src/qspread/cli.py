@@ -24,18 +24,22 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .partitions import MobiusCache
-from .qis import quantum_extension, rep_from_json, two_projection_rep
+from .qis import Representation, quantum_extension, two_projection_rep
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
 from .linalg import projection_pair
 from .reports import CheckReport
-from .suites import merge_config, run_all, run_section
+from .suites import check_schema, merge_config, run_all, run_section
 
 CONFIG_ENV_VAR = "QSPREAD_CONFIG"
-# Size budget of a representation file: n = 16 and dim = 16, every entry
-# written out, take 2.7 MiB, decoded and checked in 0.8 s (2-vCPU host).
+# Size budget of a representation file: 2.9 MiB of dense entries (n = dim = 16)
+# check in 1.1 s, 3.8 MiB of [0, 0] entries (n = 16, dim = 44) in 2.5-3.5 s (2 vCPUs).
 REP_FILE_BYTES_MAX = 4 * 2**20
+REP_SCHEMA = json.loads(Path(__file__).with_name("representation.schema.json").read_bytes())
 
 
 def load_config(path: str | None) -> dict:
@@ -46,6 +50,30 @@ def load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             overrides = json.load(handle)
     return merge_config(overrides)
+
+
+def rep_from_json(text: str) -> Representation:
+    """Decode a representation document: checked against REP_SCHEMA, then for
+    what the schema cannot state, generator keys 'i,j' inside 1..n x 1..k and
+    ``Representation``'s checks.  Raises ValueError naming the first problem."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a representation document must be a JSON object")
+    check_schema(REP_SCHEMA, data, "")
+    gens = {}
+    for key, rows in data["gens"].items():
+        i, _, j = key.partition(",")
+        if not (i.isdecimal() and j.isdecimal()
+                and 1 <= int(i) <= data["n"] and 1 <= int(j) <= data["k"]):
+            raise ValueError(f"generator key {key!r} is not 'i,j' inside "
+                             f"1..{data['n']} x 1..{data['k']}")
+        try:
+            gens[(int(i), int(j))] = np.array([[complex(*pair) for pair in row] for row in rows],
+                                              dtype=complex)
+        except ValueError:
+            raise ValueError(f"generator {key!r} has rows of unequal length") from None
+    return Representation(kind=data["kind"], k=data["k"], n=data["n"], gens=gens,
+                          dim=data["dim"], seed=data.get("seed"))
 
 
 def parse_rep_spec(spec: str):
@@ -192,12 +220,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     command = cmd_qperm_magic if args.command == "qperm" else run_subcommand
-    try:
-        reports = command(args, config)
-    except (FileNotFoundError, ValueError) as exc:
+    try:  # an unreadable --rep file or an unwritable --out path too
+        return emit(command(args, config), args.out)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return emit(reports, args.out)
 
 
 if __name__ == "__main__":

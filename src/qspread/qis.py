@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import operator
 from dataclasses import dataclass
 
@@ -311,48 +310,3 @@ def quantum_extension(
                     total = total + v(t, p) - v(t + 1, p + 1)
                 gens[(i, col)] = total
     return Representation(kind="permutation", k=n, n=n, gens=gens, dim=rep.dim, seed=rep.seed)
-
-
-def rep_from_json(text: str) -> Representation:
-    """Decode a representation document (docs/representation.schema.json).
-
-    Raises ValueError naming the first problem: invalid JSON, a missing key,
-    a generator key that is not 'i,j' inside 1..n x 1..k, or a matrix that
-    is not rows of [re, im] pairs.
-    """
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("a representation document must be a JSON object")
-    missing = [key for key in ("kind", "k", "n", "dim", "gens") if key not in data]
-    if missing:
-        raise ValueError(f"representation document lacks {', '.join(missing)}")
-    if not isinstance(data["gens"], dict):
-        raise ValueError("representation 'gens' must be an object")
-    try:
-        k, n, dim = int(data["k"]), int(data["n"]), int(data["dim"])
-    except (TypeError, ValueError):
-        raise ValueError("representation 'k', 'n' and 'dim' must be integers") from None
-    gens = {}
-    for key, rows in data["gens"].items():
-        try:
-            i, j = (int(part) for part in key.split(","))
-        except ValueError:
-            raise ValueError(f"generator key {key!r} is not 'i,j'") from None
-        if not (1 <= i <= n and 1 <= j <= k):
-            raise ValueError(f"generator key {key!r} lies outside 1..{n} x 1..{k}")
-        try:
-            gens[(i, j)] = np.array(
-                [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-            )
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"generator {key!r} is not a list of rows of [re, im] pairs"
-            ) from None
-    return Representation(
-        kind=data["kind"],
-        k=k,
-        n=n,
-        gens=gens,
-        dim=dim,
-        seed=data.get("seed"),
-    )

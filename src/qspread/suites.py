@@ -101,8 +101,8 @@ GRAM_SIZE_CAP = POSITIVITY_CAPS["gram_size"]
 
 
 class ConfigError(ValueError):
-    """A config key or value that config.schema.json does not admit, or work
-    above a stated budget."""
+    """A key or value that its schema (config.schema.json or
+    representation.schema.json) does not admit, or work above a stated budget."""
 
 
 def _law_variant(kind: str) -> dict:
@@ -110,41 +110,48 @@ def _law_variant(kind: str) -> dict:
                 if variant["properties"]["kind"]["const"] == kind)
 
 
-_TYPES = {"object": dict, "array": list, "boolean": bool, "integer": int, "number": (int, float)}
+# The JSON types of each Python type that json reads, where a bool is no number.
+_TYPES = {dict: {"object"}, list: {"array"}, bool: {"boolean"}, int: {"integer", "number"},
+          float: {"number"}, type(None): {"null"}}
 
 
-def _check(node: dict, value, where: str) -> None:
-    """Raise ConfigError naming ``where`` unless ``value`` satisfies the schema
-    ``node``, in the part of JSON Schema that config.schema.json uses, where a
-    float is never an integer and a number must be finite."""
-    kind = node.get("type")
-    if kind and (isinstance(value, bool) != (kind == "boolean")
-                 or not isinstance(value, _TYPES[kind])):
-        raise ConfigError(f"config key {where!r} must be {kind}, got {value!r}")
+def check_schema(node: dict, value, where: str) -> None:
+    """Raise ConfigError naming the dotted key ``where`` unless ``value``
+    satisfies the schema ``node``, in the part of JSON Schema that the
+    package's two schemas use, where a float is never an integer and a
+    number must be finite."""
+    kinds = node.get("type", ())
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and _TYPES.get(type(value), set()).isdisjoint(kinds):
+        raise ConfigError(f"key {where!r} must be {' or '.join(kinds)}, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"config key {where!r} must be finite, got {value!r}")
+        raise ConfigError(f"key {where!r} must be finite, got {value!r}")
     if "enum" in node and value not in node["enum"]:
-        raise ConfigError(f"config key {where!r} must be one of "
+        raise ConfigError(f"key {where!r} must be one of "
                           f"{', '.join(node['enum'])}, got {value!r}")
     if "minimum" in node and value < node["minimum"]:
-        raise ConfigError(f"config key '{where}' must be >= {node['minimum']}, got {value}")
+        raise ConfigError(f"key '{where}' must be >= {node['minimum']}, got {value}")
     if "maximum" in node and value > node["maximum"]:
-        raise ConfigError(f"config key '{where}' must be <= {node['maximum']} "
+        raise ConfigError(f"key '{where}' must be <= {node['maximum']} "
                           f"(work budget), got {value}")
-    if "properties" in node:
+    if isinstance(value, list):
+        low, high = node.get("minItems", 0), node.get("maxItems", math.inf)
+        if not low <= len(value) <= high:
+            raise ConfigError(f"key {where!r} must have {low} to {high} items, got {len(value)}")
+        for index, item in enumerate(value if "items" in node else ()):
+            check_schema(node["items"], item, f"{where}.{index}")
+    if isinstance(value, dict):
+        prefix = f"{where}." if where else ""
+        if missing := [repr(prefix + key) for key in node.get("required", ()) if key not in value]:
+            raise ConfigError(f"missing key(s) {', '.join(missing)}")
         for key, item in value.items():
-            path = f"{where}.{key}" if where else key
-            if key in node["properties"]:
-                _check(node["properties"][key], item, path)
-            elif node.get("additionalProperties") is False:
-                raise ConfigError(f"unknown config key {path!r}")
+            sub = node.get("properties", {}).get(key, node.get("additionalProperties", True))
+            if sub is False:
+                raise ConfigError(f"unknown key {prefix + key!r}")
+            if sub is not True:
+                check_schema(sub, item, prefix + key)
     if "oneOf" in node:  # the law, checked against the variant its kind names
-        variant = _law_variant(value["kind"])
-        for key in variant.get("required", ()):
-            if key not in value:
-                raise ConfigError(f"config key '{where}.{key}' is needed by kind "
-                                  f"{value['kind']!r}")
-        _check(variant, value, where)
+        check_schema(_law_variant(value["kind"]), value, where)
 
 
 def _merge(base, over):
@@ -193,7 +200,7 @@ def merge_config(overrides: dict | None) -> dict:
     """DEFAULT_CONFIG with ``overrides`` merged in, key by key, as a copy
     that shares no dict with DEFAULT_CONFIG.
 
-    The result must satisfy config.schema.json (see ``_check``), and then
+    The result must satisfy config.schema.json (see ``check_schema``), and then
     the rules the schema cannot state: the law's moment lists, the matrix
     sides d*D within LAW_SIDE_CAPS and BVALUED_SIDE_CAP, each block family
     fitting its checks, and the Gram size within GRAM_SIZE_CAP.  ``law`` is
@@ -204,7 +211,7 @@ def merge_config(overrides: dict | None) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError("the config must be a JSON object")
     merged = _merge(copy.deepcopy(DEFAULT_CONFIG), overrides)
-    _check(_SCHEMA, merged, "")
+    check_schema(_SCHEMA, merged, "")
     law = _law_with_defaults(merged["law"])
     _moment_lists(law)
     for path, sizes, cap in (("law", law, LAW_SIDE_CAPS.get(law["kind"])),

@@ -1,4 +1,4 @@
-"""Helpers that only the tests need: the inverse of ``qis.rep_from_json``,
+"""Helpers that only the tests need: the inverse of ``cli.rep_from_json``,
 the convolution of two permutation-kind families (the executable
 comultiplication) and the composition of permutations that it stands for."""
 from __future__ import annotations
@@ -11,7 +11,8 @@ from qspread.qis import Representation
 
 
 def rep_to_json_dict(rep: Representation) -> dict:
-    """The representation document (docs/representation.schema.json) of ``rep``."""
+    """The representation document (src/qspread/representation.schema.json)
+    of ``rep``, with ``seed`` null when ``rep`` has none."""
     def encode(matrix) -> list:
         return [[[float(complex(x).real), float(complex(x).imag)] for x in row]
                 for row in matrix.tolist()]

@@ -10,11 +10,17 @@ import jsonschema
 import pytest
 
 from qspread import cli
-from qspread.cli import REP_FILE_BYTES_MAX, main
+from qspread.cli import REP_FILE_BYTES_MAX, main, rep_from_json
 from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
 from qspread.moments import ROUNDTRIP_CAPS, moment_cumulant_roundtrip, semicircular_law
 from qspread.partitions import NC_ENUMERATION_LIMIT, MobiusCache
-from qspread.qis import INCREASING_N_MAX
+from qspread.qis import (
+    INCREASING_N_MAX,
+    IncreasingSequence,
+    classical_point_rep,
+    quantum_extension,
+    two_projection_rep,
+)
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
 from qspread.suites import (
     BVALUED_SIDE_CAP,
@@ -40,6 +46,8 @@ from helpers import rep_to_json, rep_to_json_dict
 
 SCHEMA = json.loads((Path(__file__).parents[1] / "src" / "qspread" / "config.schema.json")
                     .read_text())
+REP_SCHEMA = json.loads((Path(__file__).parents[1] / "src" / "qspread"
+                         / "representation.schema.json").read_text())
 
 TRIMMED = {
     "nc": {"m_max": 6, "mobius_m_max": 4, "zeta_m_max": 3, "column_m_max": 4},
@@ -102,6 +110,28 @@ WRONG_TYPES = [
     ({"exchangeable": {"include_extended": 1}}, "'exchangeable.include_extended'"),
     ({"seed": "7"}, "'seed'"),
     ({"psi": 3}, "'psi'"),
+]
+
+
+IDENTITY_REP = rep_to_json_dict(permutation_rep((1, 2)))
+
+
+def with_entry(document: dict, value) -> dict:
+    """``document`` with the real part of its first matrix entry set to ``value``."""
+    document = copy.deepcopy(document)
+    document["gens"]["1,1"][0][0][0] = value
+    return document
+
+
+# (a representation document of a wrongly typed value, the key the error names)
+MISTYPED_REPS = [
+    ({**IDENTITY_REP, "k": 2.9, "n": 2.9}, "'k'"),
+    ({**rep_to_json_dict(permutation_rep((1,))), "k": True}, "'k'"),
+    ({**IDENTITY_REP, "k": 2.0}, "'k'"),
+    ({**IDENTITY_REP, "dim": "1"}, "'dim'"),
+    ({**IDENTITY_REP, "seed": "abc"}, "'seed'"),
+    ({**IDENTITY_REP, "seed": 1.5}, "'seed'"),
+    (with_entry(IDENTITY_REP, True), "'gens.1,1.0.0.0'"),
 ]
 
 
@@ -336,6 +366,18 @@ class TestExitCodes:
         assert main(["qperm", "magic", "--rep", "permutation:one,two"]) == 2
         assert main(["qperm", "magic", "--rep", "permutation:1,1"]) == 2
 
+    def test_unreadable_rep_file_is_2(self, tmp_path, capsys):
+        assert main(["qperm", "magic", "--rep", str(tmp_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and str(tmp_path) in out.err
+
+    @pytest.mark.parametrize("target", ["missing/x.jsonl", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, target):
+        path = tmp_path / target
+        assert main(["nc", "enumerate", "--m", "3", "--out", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and str(path) in out.err
+
     def test_negative_control_fails_with_witness(self, tmp_path, capsys):
         config = write_config(tmp_path, {**TRIMMED, **BROKEN_LAW}, "broken.json")
         assert main(["inv", "exchangeable", "--config", config]) == 1
@@ -414,26 +456,74 @@ class TestMalformedRepFile:
         code = main(["qperm", "magic", "--rep", str(path)])
         return code, capsys.readouterr().err
 
-    @staticmethod
-    def identity_family() -> dict:
-        from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
-
-        return rep_to_json_dict(permutation_rep((1, 2)))
-
     def test_missing_key_is_2(self, tmp_path, capsys):
         code, err = self.run_with(tmp_path, capsys, {"k": 2})
         assert code == 2
         assert err.startswith("error:") and "gens" in err and "Traceback" not in err
 
     def test_row_not_pairs_is_2(self, tmp_path, capsys):
-        document = self.identity_family()
+        document = copy.deepcopy(IDENTITY_REP)
         document["gens"]["1,1"] = [[1.0]]
         code, err = self.run_with(tmp_path, capsys, document)
         assert code == 2
-        assert err.startswith("error:") and "'1,1'" in err
+        assert err.startswith("error:") and "gens.1,1" in err
+
+    @pytest.mark.parametrize("document, key", MISTYPED_REPS, ids=[
+        "k-n-float", "k-boolean", "k-integral-float", "dim-string", "seed-string",
+        "seed-float", "boolean-entry"])
+    def test_wrongly_typed_value_is_2_and_named(self, tmp_path, capsys, document, key):
+        code, err = self.run_with(tmp_path, capsys, document)
+        assert code == 2
+        assert err.startswith("error:") and key in err, err
+
+    # Documents that JSON Schema accepts and rep_from_json rejects, each by a
+    # rule the schema cannot state.
+    BEYOND_THE_SCHEMA = [
+        ({**IDENTITY_REP, "k": 2.0}, "2.0 is not an integer"),
+        (with_entry(IDENTITY_REP, math.nan), "a non-finite number"),
+        (with_entry(IDENTITY_REP, math.inf), "a non-finite number"),
+        ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "3,7": IDENTITY_REP["gens"]["1,1"]}},
+         "a generator key inside 1..n x 1..k"),
+        ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "one,1": IDENTITY_REP["gens"]["1,1"]}},
+         "a generator key inside 1..n x 1..k"),
+        ({**rep_to_json_dict(classical_point_rep(IncreasingSequence(1, 2, (1,)))),
+          "kind": "permutation"}, "k = n for kind permutation"),
+    ]
+
+    def test_schema_and_rep_from_json_agree(self):
+        """JSON Schema, the reference, and rep_from_json give the same verdict
+        on valid documents, on each wrongly typed value, on each missing key
+        and on documents that are not objects; BEYOND_THE_SCHEMA is the only
+        difference."""
+        jsonschema.Draft202012Validator.check_schema(REP_SCHEMA)
+        validator = jsonschema.Draft202012Validator(REP_SCHEMA)
+
+        def verdicts(document):
+            try:
+                rep_from_json(json.dumps(document))
+            except ValueError:
+                return False, validator.is_valid(document)
+            return True, validator.is_valid(document)
+
+        extension = rep_to_json_dict(quantum_extension(two_projection_rep(0.6)))
+        assert extension["seed"] is None
+        cases = [IDENTITY_REP, extension, {**IDENTITY_REP, "seed": 7}]
+        cases += [document for document, _ in MISTYPED_REPS]
+        cases += [{**IDENTITY_REP, "gens": gens} for gens in ([], "1,1", None)]
+        cases += [{key: value for key, value in IDENTITY_REP.items() if key != missing}
+                  for missing in REP_SCHEMA["required"]]
+        cases += [with_entry(IDENTITY_REP, "1"), {**IDENTITY_REP, "kind": "magic"},
+                  {**IDENTITY_REP, "dim": 0}, [], 0, "rep", None]
+        beyond = {json.dumps(document): reason for document, reason in self.BEYOND_THE_SCHEMA}
+        for document in cases:
+            if json.dumps(document) not in beyond:
+                decoded, valid = verdicts(document)
+                assert decoded == valid, (document, decoded)
+        for document, reason in self.BEYOND_THE_SCHEMA:
+            assert verdicts(document) == (False, True), reason
 
     def test_generator_key_outside_family_is_2(self, tmp_path, capsys):
-        document = self.identity_family()
+        document = copy.deepcopy(IDENTITY_REP)
         document["gens"]["3,7"] = document["gens"]["1,1"]
         code, err = self.run_with(tmp_path, capsys, document)
         assert code == 2
@@ -441,7 +531,7 @@ class TestMalformedRepFile:
 
     def test_file_over_the_size_budget_is_2_before_decoding(self, tmp_path, capsys,
                                                              monkeypatch):
-        document = json.dumps(self.identity_family())
+        document = json.dumps(IDENTITY_REP)
         path = tmp_path / "rep.json"
         path.write_text(document)
         monkeypatch.setattr(cli, "REP_FILE_BYTES_MAX", len(document))

@@ -17,9 +17,9 @@ from qspread.qis import (
     enumerate_increasing,
     extend_to_permutation,
     quantum_extension,
-    rep_from_json,
     two_projection_rep,
 )
+from qspread.cli import rep_from_json
 from qspread.linalg import residual_norm
 from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO
