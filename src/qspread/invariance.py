@@ -16,14 +16,15 @@ generator sum, which must collapse to 0 or 1 (the content of the
 free-implies-invariant direction).  For a non-crossing sigma, S is one fold
 over its nesting tree: an interval's sum is the product of its outer blocks'
 sums, and a block sums its generator product over a common row, with its
-gaps already folded; one memo of block sums serves a whole check or
-``check_kernel_sums`` sweep, which folds all target tuples of a partition in
-one left-to-right pass that forms each prefix product once.  A crossing sigma
-is enumerated over its row assignments.  Rows where a generator is exactly
-zero are skipped.
+gaps already folded, and skips the rows where a generator is exactly zero.
+``check_kernel_sums`` folds all target tuples at once, with no rows skipped:
+a block's sums over its span's tuples are one stack, summed over the rows of
+broadcast products of generator and gap stacks and memoized by block shape.
+A crossing sigma is enumerated over its row assignments.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -31,9 +32,9 @@ from collections import Counter
 
 import numpy as np
 
-from .linalg import residual_norm
+from .linalg import residual_norm, residual_norms
 from .moments import Word
-from .partitions import MobiusCache, Partition, enumerate_all, kernel, leq, nesting_plan
+from .partitions import MobiusCache, Partition, enumerate_all, leq, nesting_plan
 from .qis import (
     DEFAULT_REP_TOLERANCE, Representation, check_increasing_relations, enumerate_increasing,
 )
@@ -90,31 +91,25 @@ def _fold(gens: dict, plan: tuple, targets, rows_for: dict, memo: dict):
     return total
 
 
-def _sweep(gens: dict, plan: tuple, k: int, rows_for: dict, memo: dict) -> list:
-    """``_fold`` of ``plan`` at every target tuple in [k]^m, in lexicographic
-    order, in one left-to-right pass: the outer blocks cover consecutive
-    spans, so each prefix product is formed once and extended by the block
-    sum of every next span (as ``total @ block_sum``, ``_fold``'s
-    association), and a vanished one fills all the tuples it begins."""
-    m = plan[-1][0][-1]
-    out: list = []
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_s @ b_t at every pair (s, t), s major: for stacks over consecutive
+    target spans, the stack over the joined span, in lexicographic order."""
+    return (a[:, None] @ b[None, :]).reshape(-1, *a.shape[1:])
 
-    def extend(at: int, prefix: tuple, total) -> None:
-        block, word, shape = plan[at]
-        for span in itertools.product(range(1, k + 1), repeat=block[-1] - block[0] + 1):
-            key = (shape, span)
-            if key not in memo:
-                memo[key] = _block_sum(gens, block, word, prefix + span, rows_for, memo)
-            block_sum = memo[key]
-            if block_sum is None:
-                out.extend([None] * k ** (m - block[-1]))
-            elif at + 1 == len(plan):
-                out.append(block_sum if total is None else total @ block_sum)
-            else:
-                extend(at + 1, prefix + span, block_sum if total is None else total @ block_sum)
 
-    extend(0, (), None)
-    return out
+def _stack(gens: np.ndarray, plan: tuple, memo: dict) -> np.ndarray:
+    """``_fold`` of ``plan`` at every target tuple of its span, in lexicographic
+    order, as one (k^L, d, d) stack, zero where ``_fold`` is None.  A block's
+    stack sums, over the rows v of the (n, k, d, d) ``gens`` in order, the
+    ``_outer`` products of gens[v] and the gap stacks in word order (``_fold``'s
+    association); ``memo`` keeps it by the block's shape, for one ``gens``."""
+    for _, word, shape in plan:
+        if shape not in memo:
+            gaps = [_stack(gens, x, memo) if isinstance(x, tuple) else None for x in word]
+            memo[shape] = functools.reduce(operator.add, (
+                functools.reduce(_outer, [row if gap is None else gap for gap in gaps])
+                for row in gens))
+    return functools.reduce(_outer, [memo[shape] for _, _, shape in plan])
 
 
 def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
@@ -125,21 +120,14 @@ def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
         return None
     factors = []  # a column index, or a folded gap (a matrix)
     for item in word:
-        if not isinstance(item, tuple):
-            factors.append(targets[item - 1])
-            continue
-        gap = _fold(gens, item, targets, rows_for, memo)
-        if gap is None:
+        factors.append(_fold(gens, item, targets, rows_for, memo) if isinstance(item, tuple)
+                       else targets[item - 1])
+        if factors[-1] is None:
             return None
-        factors.append(gap)
-    block_sum = None
-    for v in rows:
-        term = None
-        for f in factors:
-            x = f if isinstance(f, np.ndarray) else gens[(v, f)]
-            term = x if term is None else term @ x
-        block_sum = term if block_sum is None else block_sum + term
-    return block_sum
+    return functools.reduce(operator.add, (
+        functools.reduce(operator.matmul, [f if isinstance(f, np.ndarray) else gens[(v, f)]
+                                           for f in factors])
+        for v in rows))
 
 
 def kernel_constrained_sum(
@@ -171,33 +159,28 @@ def check_kernel_sums(
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
     all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS.
-    Each partition is one ``_sweep`` over [k]^m, and a sum that vanishes
-    identically has the residual of its expected value, formed once."""
+    Each partition is one ``_stack`` over [k]^m, against the identity where
+    the targets are constant on its blocks and zero elsewhere, with the
+    residuals of ``residual_norms``."""
     require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
     _require_valid(rep, tolerance)
-    tracker = ResidualTracker(
-        "kernel_constrained_sums",
-        tolerance,
-        params={"kind": rep.kind, "k": rep.k, "n": rep.n, "max_len": max_len},
-        seed=seed if seed is not None else rep.seed,
-    )
+    params = {"kind": rep.kind, "k": rep.k, "n": rep.n, "max_len": max_len}
+    tracker = ResidualTracker("kernel_constrained_sums", tolerance, params=params,
+                              seed=seed if seed is not None else rep.seed)
     one, zero = rep.unit(), rep.zero()
-    # want and its residual, which is the defect of a vanished sum
-    hit, miss = (one, residual_norm(one)), (zero, residual_norm(zero))
-    rows_for = _rows_for(rep)
-    memo: dict = {}  # block sums; valid for this representation only
+    gens = np.array([[rep.gen(i, j) for j in range(1, rep.k + 1)] for i in range(1, rep.n + 1)])
+    memo: dict = {}  # block stacks; valid for this representation only
     for m in range(1, max_len + 1):
-        cases = [(kernel(targets), list(targets))
-                 for targets in itertools.product(range(1, rep.k + 1), repeat=m)]
-        distinct = {ker.rgs: ker for ker, _ in cases}
+        tuples = np.array(list(itertools.product(range(1, rep.k + 1), repeat=m)))
+        witnesses = tuples.tolist()
         for part in cache.nc(m):
             blocks = [list(b) for b in part.blocks]
-            expected = {rgs: hit if leq(part, ker) else miss for rgs, ker in distinct.items()}
-            values = _sweep(rep.gens, nesting_plan(part), rep.k, rows_for, memo)
-            for value, (ker, targets) in zip(values, cases):
-                want, vanished = expected[ker.rgs]
-                tracker.add(("kernel-sum", blocks, targets),
-                            vanished if value is None else residual_norm(value - want))
+            within = np.all([tuples[:, p - 1] == tuples[:, b[0] - 1]
+                             for b in part.blocks for p in b], axis=0)
+            want = np.where(within[:, None, None], one, zero)
+            residuals = residual_norms(_stack(gens, nesting_plan(part), memo) - want)
+            for targets, residual in zip(witnesses, residuals):
+                tracker.add(("kernel-sum", blocks, targets), residual)
     return tracker.report()
 
 

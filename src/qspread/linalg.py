@@ -63,6 +63,17 @@ def residual_norm(a: np.ndarray):
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
+def residual_norms(stack: np.ndarray) -> list:
+    """``residual_norm`` of each matrix of an (N, d, d) stack, by its rules,
+    batched: only the nonzero defects reach the max-abs or the SVD."""
+    exact, nonzero = is_exact(stack), (stack != 0).any(axis=(1, 2))
+    out = np.full(len(stack), EXACT_ZERO_RESIDUAL if exact else 0.0, dtype=object)
+    defects = stack[nonzero]
+    out[nonzero] = (np.abs(defects).max(axis=(1, 2)) if exact else
+                    np.linalg.svd(defects.astype(complex), compute_uv=False).max(axis=1))
+    return out.tolist()
+
+
 @dataclass(frozen=True)
 class BAlgebra:
     """B = M_d inside the ambient M_{d*D}, with E = id (x) normalized trace.

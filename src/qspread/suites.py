@@ -115,6 +115,20 @@ _TYPES = {dict: {"object"}, list: {"array"}, bool: {"boolean"}, int: {"integer",
           float: {"number"}, type(None): {"null"}}
 
 
+def _fits(node: dict):
+    """A one-pass test of ``node`` when it is a type alone, or an array type
+    with only minItems, maxItems and such items; else a false value."""
+    kinds = node.get("type", ())
+    kinds = {kinds} if isinstance(kinds, str) else {*kinds}
+    ok = {t for t, names in _TYPES.items() if names & kinds}
+    if node.keys() == {"type"}:
+        return lambda x: type(x) in ok and (type(x) is not float or math.isfinite(x))
+    inner = node.keys() - {"minItems", "maxItems"} == {"type", "items"} and _fits(node["items"])
+    low, high = node.get("minItems", 0), node.get("maxItems", math.inf)
+    return inner and ok == {list} and (
+        lambda x: type(x) is list and low <= len(x) <= high and all(map(inner, x)))
+
+
 def check_schema(node: dict, value, where: str) -> None:
     """Raise ConfigError naming the dotted key ``where`` unless ``value``
     satisfies the schema ``node``, in the part of JSON Schema that the
@@ -138,8 +152,10 @@ def check_schema(node: dict, value, where: str) -> None:
         low, high = node.get("minItems", 0), node.get("maxItems", math.inf)
         if not low <= len(value) <= high:
             raise ConfigError(f"key {where!r} must have {low} to {high} items, got {len(value)}")
+        fits = _fits(node["items"]) if "items" in node else None
         for index, item in enumerate(value if "items" in node else ()):
-            check_schema(node["items"], item, f"{where}.{index}")
+            if not (fits and fits(item)):  # walked only where the one-pass test fails
+                check_schema(node["items"], item, f"{where}.{index}")
     if isinstance(value, dict):
         prefix = f"{where}." if where else ""
         if missing := [repr(prefix + key) for key in node.get("required", ()) if key not in value]:

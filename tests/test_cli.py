@@ -468,6 +468,26 @@ class TestMalformedRepFile:
         assert code == 2
         assert err.startswith("error:") and "gens.1,1" in err
 
+    def test_unknown_top_level_key_is_2(self, tmp_path, capsys):
+        code, err = self.run_with(tmp_path, capsys, {**IDENTITY_REP, "sed": 3})
+        assert code == 2
+        assert err == "error: unknown key 'sed'\n", err
+        assert not jsonschema.Draft202012Validator(REP_SCHEMA).is_valid({**IDENTITY_REP, "sed": 3})
+
+    @pytest.mark.parametrize("pair, message", [
+        (["1", 0], "key 'gens.1,1.0.0.0' must be number, got '1'"),
+        ([0, True], "key 'gens.1,1.0.0.1' must be number, got True"),
+        ([math.nan, "1"], "key 'gens.1,1.0.0.0' must be finite, got nan"),
+        ([0, math.inf], "key 'gens.1,1.0.0.1' must be finite, got inf"),
+        ([0, 0, 0], "key 'gens.1,1.0.0' must have 2 to 2 items, got 3"),
+    ], ids=["string", "bool", "nan-first", "inf", "wrong-length"])
+    def test_entry_messages_name_the_first_bad_index(self, pair, message):
+        document = copy.deepcopy(IDENTITY_REP)
+        document["gens"]["1,1"][0][0] = pair
+        with pytest.raises(ConfigError) as error:
+            rep_from_json(json.dumps(document))
+        assert str(error.value) == message
+
     @pytest.mark.parametrize("document, key", MISTYPED_REPS, ids=[
         "k-n-float", "k-boolean", "k-integral-float", "dim-string", "seed-string",
         "seed-float", "boolean-entry"])
@@ -507,7 +527,8 @@ class TestMalformedRepFile:
 
         extension = rep_to_json_dict(quantum_extension(two_projection_rep(0.6)))
         assert extension["seed"] is None
-        cases = [IDENTITY_REP, extension, {**IDENTITY_REP, "seed": 7}]
+        cases = [IDENTITY_REP, extension, {**IDENTITY_REP, "seed": 7},
+                 {**IDENTITY_REP, "sed": 3}]
         cases += [document for document, _ in MISTYPED_REPS]
         cases += [{**IDENTITY_REP, "gens": gens} for gens in ([], "1,1", None)]
         cases += [{key: value for key, value in IDENTITY_REP.items() if key != missing}

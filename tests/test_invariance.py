@@ -13,7 +13,7 @@ from qspread.invariance import (
     _lhs,
     _mobius_p,
     _rows_for,
-    _sweep,
+    _stack,
     check_bvalued_spreadable,
     check_exchangeable,
     check_kernel_sums,
@@ -222,25 +222,37 @@ class TestFoldMatchesEnumeration:
             assert residual_norm(folded - enumerated) <= 1e-12, case
 
 
+def generator_array(rep: Representation) -> np.ndarray:
+    """The (n, k, d, d) generator array that check_kernel_sums stacks from."""
+    return np.array([[rep.gen(i, j) for j in range(1, rep.k + 1)] for i in range(1, rep.n + 1)])
+
+
 class TestSweepMatchesFold:
-    """The one-pass sweep of check_kernel_sums against ``_fold`` at each
-    target tuple, entry by entry: None where the fold is None, and the same
-    matrix bit for bit (the same association of the same products)
-    elsewhere, on every non-crossing partition of size up to 4."""
+    """The stacked sweep of check_kernel_sums against ``_fold`` at each
+    target tuple: the zero matrix where the fold is None, and the same matrix
+    bit for bit (the same association of the same products) elsewhere, on
+    every non-crossing partition of size up to 4, with one stack memo for the
+    whole sweep as check_kernel_sums keeps it."""
 
     @staticmethod
     def assert_sweep_is_fold(rep, max_len=4):
-        rows_for, sweep_memo, fold_memo = _rows_for(rep), {}, {}
+        gens, rows_for, stack_memo, fold_memo = generator_array(rep), _rows_for(rep), {}, {}
         for m in range(1, max_len + 1):
             tuples = list(itertools.product(range(1, rep.k + 1), repeat=m))
             for part in enumerate_nc(m):
                 plan = nesting_plan(part)
-                swept = _sweep(rep.gens, plan, rep.k, rows_for, sweep_memo)
-                folded = [_fold(rep.gens, plan, t, rows_for, fold_memo) for t in tuples]
-                assert len(swept) == len(folded), part
-                for targets, got, want in zip(tuples, swept, folded):
-                    assert (got is None) == (want is None), (part, targets)
-                    assert got is None or np.array_equal(got, want), (part, targets)
+                swept = _stack(gens, plan, stack_memo)
+                assert swept.shape == (len(tuples), rep.dim, rep.dim), part
+                assert swept.dtype == rep.zero().dtype, part
+                for targets, got in zip(tuples, swept):
+                    want = _fold(rep.gens, plan, targets, rows_for, fold_memo)
+                    if want is None:
+                        assert not (got != 0).any(), (part, targets)
+                    elif rep.exact:
+                        assert np.array_equal(got, want), (part, targets)
+                    else:
+                        assert got.tobytes() == want.tobytes(), (part, targets)
+        assert stack_memo
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_permutation_reps(self, n):
@@ -255,15 +267,26 @@ class TestSweepMatchesFold:
         self.assert_sweep_is_fold(quantum_extension(classical_point_rep(l)))
 
     def test_unrelated_exact_family(self):
-        # sums that are not 0 or 1, so a misplaced product would show
+        # sums that are not 0 or 1, so a misplaced product or a memo key
+        # that hands one block's stack to another would show
         self.assert_sweep_is_fold(TestFoldMatchesEnumeration.unrelated_exact_family())
+
+    def test_unrelated_float_family(self):
+        # generic complex entries, where another order of the rows or of the
+        # products changes the rounding, so the bits would differ
+        rng = np.random.default_rng(8)
+        gens = {(i, j): rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                for i in range(1, 4) for j in (1, 2)}
+        self.assert_sweep_is_fold(Representation(kind="increasing", k=2, n=3, gens=gens, dim=2))
 
     def test_vanished_block_fills_every_tuple_it_begins(self):
         rep = permutation_rep((2, 1, 3))
         plan = nesting_plan(Partition(3, [(1, 2), (3,)]))
-        swept = _sweep(rep.gens, plan, rep.k, _rows_for(rep), {})
+        swept = _stack(generator_array(rep), plan, {})
         # targets (1, 2, j): no row i has u_{i1} and u_{i2} both nonzero
-        assert swept[3:6] == [None, None, None]
+        assert _fold(rep.gens, plan, (1, 2, 1), _rows_for(rep), {}) is None
+        assert not (swept[3:6] != 0).any()
+        assert (swept[:3] != 0).any()
 
 
 def zeta_inverse_all(m):

@@ -9,6 +9,7 @@ import pytest
 
 from qspread.invariance import check_kernel_sums
 from qspread.linalg import (
+    EXACT_ZERO_RESIDUAL,
     BAlgebra,
     dagger,
     is_exact,
@@ -20,6 +21,7 @@ from qspread.linalg import (
     rational_eye,
     rational_zeros,
     residual_norm,
+    residual_norms,
 )
 from qspread.partitions import MobiusCache
 from qspread.qis import (
@@ -195,6 +197,50 @@ class TestZeroDefects:
         tracker.add(("case",), value)
         report = tracker.report()
         assert not report.passed and report.witness == ["case"]
+
+
+class TestResidualNorms:
+    """The batched residuals of check_kernel_sums follow residual_norm slice
+    by slice: the same value of the same type, the shared exact zero for an
+    exact zero defect, and a NaN that still reaches the norm."""
+
+    @staticmethod
+    def same(got, want):
+        return type(got) is type(want) and (got == want or math.isnan(got) and math.isnan(want))
+
+    def test_float_stack(self):
+        rng = np.random.default_rng(11)
+        stack = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        stack[1] = 0
+        stack[3] = -0.0
+        stack[4] = 1e-300 * stack[4]
+        stack[5, 2, 0] = np.inf
+        got = residual_norms(stack)
+        assert all(self.same(g, residual_norm(a)) for g, a in zip(got, stack, strict=True))
+        assert got[1] == got[3] == 0.0 and math.isnan(got[5])
+
+    def test_exact_stack(self):
+        stack = np.array([rational_zeros(2), [[1, -3], [0, Fraction(-7, 2)]], rational_eye(2),
+                          [[0, 0], [Fraction(1, 9), 0]], [[Fraction(0), 0], [0, 0]]], dtype=object)
+        got = residual_norms(stack)
+        assert all(self.same(g, residual_norm(a)) for g, a in zip(got, stack, strict=True))
+        assert got[0] is EXACT_ZERO_RESIDUAL and got[4] is EXACT_ZERO_RESIDUAL
+        assert got[1:4] == [Fraction(7, 2), 1, Fraction(1, 9)] and type(got[2]) is int
+
+    def test_zero_slices_skip_the_svd(self, monkeypatch):
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(len(a)) or svd(a, **kw))
+        stack = np.zeros((5, 2, 2), dtype=complex)
+        stack[2, 0, 1] = 3j
+        assert residual_norms(stack) == [0.0, 0.0, 3.0, 0.0, 0.0] and seen == [1]
+
+    def test_nan_slice_reaches_the_norm(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            residual_norm(stack[1])
+        with pytest.raises(np.linalg.LinAlgError):
+            residual_norms(stack)
 
 
 class TestIntegerFamilies:
