@@ -14,13 +14,12 @@ kernels sigma instead of the tuples, g(sigma) (x) S(sigma): g is the Mobius
 inversion of f over the partition lattice and S(sigma) the kernel-constrained
 generator sum, which must collapse to 0 or 1 (the content of the
 free-implies-invariant direction).  For a non-crossing sigma, S is one fold
-over its nesting tree: an interval's sum is the product of its outer blocks'
-sums, and a block sums its generator product over a common row, with its
-gaps already folded, and skips the rows where a generator is exactly zero.
-``check_kernel_sums`` folds all target tuples at once, with no rows skipped:
-a block's sums over its span's tuples are one stack, summed over the rows of
-broadcast products of generator and gap stacks and memoized by block shape.
-A crossing sigma is enumerated over its row assignments.
+over its nesting tree, ``_stack``: an interval's sum is the product of its
+outer blocks' sums, and a block sums its generator product over every row,
+with its gaps already folded.  Each position carries one target column or
+all of them, so one fold gives the engine S at a word's targets (one matrix)
+and ``check_kernel_sums`` S at every target tuple at once (a stack).  A
+crossing sigma is enumerated over its row assignments.
 """
 from __future__ import annotations
 
@@ -55,40 +54,10 @@ def _require_valid(rep: Representation, tolerance: float) -> None:
         )
 
 
-def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
-    """column j -> the rows i whose generator u_{ij} is not the exact zero
-    (every row on the float backend, where skipping would not be sound)."""
-    mask = rep.nonzero_mask()
-    return {
-        j: tuple(i for i in range(1, rep.n + 1) if mask is None or mask[(i, j)])
-        for j in range(1, rep.k + 1)
-    }
-
-
-def _fold(gens: dict, plan: tuple, targets, rows_for: dict, memo: dict):
-    """The kernel-constrained sum over the positions of a non-empty ``plan``,
-    or None when it vanishes identically (some block has no row where all of
-    its generators are nonzero).
-
-    Positions in different blocks take independent values, so the sum
-    factors along the nesting tree: each outer block contributes
-    sum_v u_{v j_1} X_1 u_{v j_2} ... X_{r-1} u_{v j_r}, where X_t is the
-    already folded sum over the gap between its t-th and (t+1)-th positions.
-    That block sum depends only on the shape of the partition over the
-    block's span and on the targets there, so ``memo`` keeps it under that
-    key; one memo serves every partition and target tuple folded with the
-    same ``gens`` and ``rows_for``.
-    """
-    total = None
-    for block, word, shape in plan:
-        key = (shape, targets[block[0] - 1:block[-1]])
-        if key not in memo:
-            memo[key] = _block_sum(gens, block, word, targets, rows_for, memo)
-        block_sum = memo[key]
-        if block_sum is None:
-            return None
-        total = block_sum if total is None else total @ block_sum
-    return total
+def _column_rows(rep: Representation) -> list[dict]:
+    """rows[v - 1] maps each column j to u_{vj}: the rows that ``_stack``
+    reads at single target columns."""
+    return [{j: rep.gen(v, j) for j in range(1, rep.k + 1)} for v in range(1, rep.n + 1)]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,37 +66,28 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None] @ b[None, :]).reshape(-1, *a.shape[1:])
 
 
-def _stack(gens: np.ndarray, plan: tuple, memo: dict) -> np.ndarray:
-    """``_fold`` of ``plan`` at every target tuple of its span, in lexicographic
-    order, as one (k^L, d, d) stack, zero where ``_fold`` is None.  A block's
-    stack sums, over the rows v of the (n, k, d, d) ``gens`` in order, the
-    ``_outer`` products of gens[v] and the gap stacks in word order (``_fold``'s
-    association); ``memo`` keeps it by the block's shape, for one ``gens``."""
-    for _, word, shape in plan:
-        if shape not in memo:
-            gaps = [_stack(gens, x, memo) if isinstance(x, tuple) else None for x in word]
-            memo[shape] = functools.reduce(operator.add, (
-                functools.reduce(_outer, [row if gap is None else gap for gap in gaps])
-                for row in gens))
-    return functools.reduce(_outer, [memo[shape] for _, _, shape in plan])
-
-
-def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
-    """One outer block's term of ``_fold``, or None when it vanishes."""
-    cols = [targets[p - 1] for p in block]
-    rows = [v for v in rows_for[cols[0]] if all(v in rows_for[c] for c in cols[1:])]
-    if not rows:
-        return None
-    factors = []  # a column index, or a folded gap (a matrix)
-    for item in word:
-        factors.append(_fold(gens, item, targets, rows_for, memo) if isinstance(item, tuple)
-                       else targets[item - 1])
-        if factors[-1] is None:
-            return None
-    return functools.reduce(operator.add, (
-        functools.reduce(operator.matmul, [f if isinstance(f, np.ndarray) else gens[(v, f)]
-                                           for f in factors])
-        for v in rows))
+def _stack(rows: list, plan: tuple, cols: tuple, memo: dict) -> np.ndarray:
+    """The kernel-constrained sum over the positions of a non-empty ``plan``
+    at every target tuple ``cols`` admits, in lexicographic order, as one
+    stack.  cols[p - 1] is one column j or the tuple of all k columns, and
+    rows[v - 1] maps it to the matrix u_{vj} (so the stack is one matrix) or
+    to the (k, d, d) stack of u_{vj} there.  Positions in different blocks
+    take independent values, so an outer block's stack is the sum over the
+    rows v, in order, of the products (``_outer`` for stacks) of rows[v - 1]
+    at its positions and its gap stacks, in word order, and outer blocks
+    multiply likewise.  ``memo`` keeps a block's stack under the partition's
+    shape and ``cols`` over its span, for one ``rows``."""
+    stacks, product = [], _outer if isinstance(cols[0], tuple) else operator.matmul
+    for block, word, shape in plan:
+        key = (shape, cols[block[0] - 1:block[-1]])
+        if key not in memo:
+            gaps = [_stack(rows, x, cols, memo) if isinstance(x, tuple) else None for x in word]
+            memo[key] = functools.reduce(operator.add, (
+                functools.reduce(product, [row[cols[x - 1]] if gap is None else gap
+                                           for x, gap in zip(word, gaps)])
+                for row in rows))
+        stacks.append(memo[key])
+    return functools.reduce(product, stacks)
 
 
 def kernel_constrained_sum(
@@ -145,9 +105,8 @@ def kernel_constrained_sum(
         raise ValueError("need a non-empty target tuple of the partition's size")
     if any(not 1 <= j <= rep.k for j in targets):
         raise ValueError(f"targets {targets} exceed the {rep.k} columns of the family")
-    value = _fold(rep.gens, nesting_plan(part), tuple(targets), _rows_for(rep), {})
-    # copied: a fold of one factor is the representation's own generator
-    return rep.zero() if value is None else value.copy()
+    # copied: for n = 1 a one-position sum is the representation's own generator
+    return _stack(_column_rows(rep), nesting_plan(part), tuple(targets), {}).copy()
 
 
 def check_kernel_sums(
@@ -159,16 +118,17 @@ def check_kernel_sums(
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
     all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS.
-    Each partition is one ``_stack`` over [k]^m, against the identity where
-    the targets are constant on its blocks and zero elsewhere, with the
-    residuals of ``residual_norms``."""
+    Each partition is one ``_stack`` with all k columns at every position, a
+    stack over [k]^m, against the identity where the targets are constant on
+    its blocks and zero elsewhere, with the residuals of ``residual_norms``."""
     require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
     _require_valid(rep, tolerance)
     params = {"kind": rep.kind, "k": rep.k, "n": rep.n, "max_len": max_len}
     tracker = ResidualTracker("kernel_constrained_sums", tolerance, params=params,
                               seed=seed if seed is not None else rep.seed)
     one, zero = rep.unit(), rep.zero()
-    gens = np.array([[rep.gen(i, j) for j in range(1, rep.k + 1)] for i in range(1, rep.n + 1)])
+    every = tuple(range(1, rep.k + 1))
+    rows = [{every: np.array([rep.gen(v, j) for j in every])} for v in range(1, rep.n + 1)]
     memo: dict = {}  # block stacks; valid for this representation only
     for m in range(1, max_len + 1):
         tuples = np.array(list(itertools.product(range(1, rep.k + 1), repeat=m)))
@@ -178,7 +138,8 @@ def check_kernel_sums(
             within = np.all([tuples[:, p - 1] == tuples[:, b[0] - 1]
                              for b in part.blocks for p in b], axis=0)
             want = np.where(within[:, None, None], one, zero)
-            residuals = residual_norms(_stack(gens, nesting_plan(part), memo) - want)
+            residuals = residual_norms(_stack(rows, nesting_plan(part), (every,) * m, memo)
+                                       - want)
             for targets, residual in zip(witnesses, residuals):
                 tracker.add(("kernel-sum", blocks, targets), residual)
     return tracker.report()
@@ -212,43 +173,34 @@ def _total(terms):
     return total
 
 
-def _products(gens: dict, blocks, targets, rows_for: dict):
+def _products(rep: Representation, part: Partition, targets):
     """(rows, u_{rows_1 j_1} ... u_{rows_m j_m}) for every row tuple that is
-    constant on each of ``blocks``, in lexicographic order, leaving out the
-    tuples with an exactly zero factor."""
-    choices = [[v for v in rows_for[targets[b[0] - 1]]
-                if all(v in rows_for[targets[p - 1]] for p in b)] for b in blocks]
-    rows = [0] * len(targets)
-    for assignment in itertools.product(*choices):
-        for v, block in zip(assignment, blocks):
-            for p in block:
-                rows[p - 1] = v
-        product = gens[(rows[0], targets[0])]
-        for i, j in zip(rows[1:], targets[1:]):
-            product = product @ gens[(i, j)]
-        yield tuple(rows), product
+    constant on each block of ``part``, in lexicographic order."""
+    for assignment in itertools.product(range(1, rep.n + 1), repeat=part.size()):
+        rows = tuple(assignment[label] for label in part.rgs)
+        yield rows, functools.reduce(operator.matmul, map(rep.gen, rows, targets))
 
 
-def _lhs(seq, rep: Representation, word: Word, value, combine, rows_for: dict, memo: dict):
+def _lhs(seq, rep: Representation, word: Word, value, combine, memo: dict):
     """The left-hand side of the invariance equation: the sum over i in [n]^m
     of combine(value(word at i), u_{i_1 j_1} ... u_{i_m j_m}), or None when
-    every term vanishes identically.
+    every kernel class has g exactly zero.
 
     When ``seq`` is kernel-invariant, f(i) = value(word at i) depends only on
     ker(i), and the sum runs over the kernel classes sigma instead, as
     combine(g(sigma), S(sigma)): g(sigma) sums mu_P(pi, sigma) f(pi) over the
-    classes pi <= sigma, and S(sigma) is the kernel-constrained sum, folded
-    when sigma is non-crossing and enumerated over its n^|sigma| row
-    assignments when it crosses.  Classes with g exactly zero are skipped.
-    g does not depend on the targets, so ``memo`` keeps it per powers and
-    inserts (the check holds its words, so the id of their inserts stays
-    theirs), beside the kernel classes per length and the block sums of
-    ``_fold``.
+    classes pi <= sigma, and S(sigma) is the kernel-constrained sum, the
+    matrix of ``_stack`` at the word's targets when sigma is non-crossing
+    and enumerated over its n^|sigma| row assignments when it crosses.
+    Classes with g exactly zero are skipped.  g does not depend on the
+    targets, so ``memo`` keeps it per powers and inserts (the check holds its
+    words, so the id of their inserts stays theirs), beside the kernel
+    classes per length, and the ``_stack`` memo and its column rows.
     """
     targets, m = word.indices, word.length
     if not getattr(seq, "kernel_invariant", False):
         return _total(combine(value(word.with_indices(rows)), product) for rows, product
-                      in _products(rep.gens, Partition.singletons(m).blocks, targets, rows_for))
+                      in _products(rep, Partition.singletons(m), targets))
     key = (word.powers, id(word.inserts))
     if key not in memo["g"]:
         if m not in memo["classes"]:
@@ -258,10 +210,9 @@ def _lhs(seq, rep: Representation, word: Word, value, combine, rows_for: dict, m
             (sigma, plan, g) for sigma, _, terms, plan in memo["classes"][m]
             if np.any(g := sum(mu * f[a] for a, mu in terms))
         ]
-    sums = ((g, _fold(rep.gens, plan, targets, rows_for, memo["fold"]) if plan else
-             _total(p for _, p in _products(rep.gens, sigma.blocks, targets, rows_for)))
-            for sigma, plan, g in memo["g"][key])
-    return _total(combine(g, s) for g, s in sums if s is not None)
+    return _total(combine(g, _stack(memo["rows"], plan, targets, memo["stack"]) if plan
+                          else _total(p for _, p in _products(rep, sigma, targets)))
+                  for sigma, plan, g in memo["g"][key])
 
 
 def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, seed,
@@ -278,13 +229,13 @@ def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, see
         params["k"] = rep.k
     tracker = ResidualTracker(name, tolerance, params=params,
                               seed=seed if seed is not None else rep.seed)
-    one, rows_for = rep.unit(), _rows_for(rep)
-    memo: dict = {"g": {}, "classes": {}, "fold": {}}
+    one = rep.unit()
+    memo: dict = {"g": {}, "classes": {}, "stack": {}, "rows": _column_rows(rep)}
     for word in words:
         if max(word.indices) > rep.k:
             raise ValueError(f"word targets {word.indices} exceed the {rep.k} "
                              "columns of the family")
-        lhs = _lhs(seq, rep, word, value, combine, rows_for, memo)
+        lhs = _lhs(seq, rep, word, value, combine, memo)
         rhs = combine(value(word), one)
         tracker.add(("word", list(word.indices), list(word.powers)),
                     residual(-rhs if lhs is None else lhs - rhs))

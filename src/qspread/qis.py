@@ -123,7 +123,7 @@ class Representation:
         """(i,j) -> generator is not the exact zero matrix; None on the float
         backend, where skipping terms would not be sound.
 
-        Lets sweeps over generator products drop terms that vanish
+        Only the relation checks read it, to drop the products that vanish
         identically (zero generators are stored explicitly, so this prunes a
         lot on classical and banded families).
         """

@@ -1,9 +1,14 @@
 """Helpers that only the tests need: the inverse of ``cli.rep_from_json``,
 the convolution of two permutation-kind families (the executable
-comultiplication) and the composition of permutations that it stands for."""
+comultiplication), the composition of permutations that it stands for, and
+``_fold``, the kernel-constrained sum at one target tuple, which skips the
+rows where a generator is exactly zero: the differential oracle of
+``invariance._stack``."""
 from __future__ import annotations
 
+import functools
 import json
+import operator
 
 import numpy as np
 
@@ -60,3 +65,57 @@ def convolution(rep_u: Representation, rep_v: Representation) -> Representation:
         kind="permutation", k=n, n=n, gens=gens, dim=rep_u.dim * rep_v.dim,
         seed=rep_u.seed,
     )
+
+
+def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
+    """column j -> the rows i whose generator u_{ij} is not the exact zero
+    (every row on the float backend, where skipping would not be sound)."""
+    mask = rep.nonzero_mask()
+    return {
+        j: tuple(i for i in range(1, rep.n + 1) if mask is None or mask[(i, j)])
+        for j in range(1, rep.k + 1)
+    }
+
+
+def _fold(gens: dict, plan: tuple, targets, rows_for: dict, memo: dict):
+    """The kernel-constrained sum over the positions of a non-empty ``plan``,
+    or None when it vanishes identically (some block has no row where all of
+    its generators are nonzero).
+
+    Positions in different blocks take independent values, so the sum
+    factors along the nesting tree: each outer block contributes
+    sum_v u_{v j_1} X_1 u_{v j_2} ... X_{r-1} u_{v j_r}, where X_t is the
+    already folded sum over the gap between its t-th and (t+1)-th positions.
+    That block sum depends only on the shape of the partition over the
+    block's span and on the targets there, so ``memo`` keeps it under that
+    key; one memo serves every partition and target tuple folded with the
+    same ``gens`` and ``rows_for``.
+    """
+    total = None
+    for block, word, shape in plan:
+        key = (shape, targets[block[0] - 1:block[-1]])
+        if key not in memo:
+            memo[key] = _block_sum(gens, block, word, targets, rows_for, memo)
+        block_sum = memo[key]
+        if block_sum is None:
+            return None
+        total = block_sum if total is None else total @ block_sum
+    return total
+
+
+def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
+    """One outer block's term of ``_fold``, or None when it vanishes."""
+    cols = [targets[p - 1] for p in block]
+    rows = [v for v in rows_for[cols[0]] if all(v in rows_for[c] for c in cols[1:])]
+    if not rows:
+        return None
+    factors = []  # a column index, or a folded gap (a matrix)
+    for item in word:
+        factors.append(_fold(gens, item, targets, rows_for, memo) if isinstance(item, tuple)
+                       else targets[item - 1])
+        if factors[-1] is None:
+            return None
+    return functools.reduce(operator.add, (
+        functools.reduce(operator.matmul, [f if isinstance(f, np.ndarray) else gens[(v, f)]
+                                           for f in factors])
+        for v in rows))

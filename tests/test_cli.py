@@ -543,6 +543,15 @@ class TestMalformedRepFile:
         for document, reason in self.BEYOND_THE_SCHEMA:
             assert verdicts(document) == (False, True), reason
 
+    @pytest.mark.parametrize("matrix", [[], [[]], [[[1, 0]], [[1, 0], [0, 0]]]],
+                             ids=["empty", "empty-row", "ragged"])
+    def test_generator_that_is_not_a_matrix_is_2(self, tmp_path, capsys, matrix):
+        document = copy.deepcopy(IDENTITY_REP)
+        document["gens"]["1,1"] = matrix
+        code, err = self.run_with(tmp_path, capsys, document)
+        assert code == 2
+        assert err.startswith("error:") and "'1,1'" in err and "Traceback" not in err
+
     def test_generator_key_outside_family_is_2(self, tmp_path, capsys):
         document = copy.deepcopy(IDENTITY_REP)
         document["gens"]["3,7"] = document["gens"]["1,1"]

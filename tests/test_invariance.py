@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from qspread.invariance import (
-    _fold,
+    _column_rows,
     _kernel_classes,
     _lhs,
     _mobius_p,
-    _rows_for,
     _stack,
     check_bvalued_spreadable,
     check_exchangeable,
@@ -53,7 +52,7 @@ from qspread.qperm import permutation_rep, two_point_rep
 from qspread.reports import EXACT_ZERO
 from qspread.suites import DEFAULT_CONFIG, _broken_sequence
 
-from helpers import convolution
+from helpers import _fold, _rows_for, convolution
 
 CACHE = MobiusCache()
 SEED = 20260810  # the seed of the acceptance criteria and the default config
@@ -100,14 +99,19 @@ def tuple_sum_lhs(seq, rep, word, value, combine):
     return total
 
 
+def engine_memo(rep):
+    """A fresh memo of ``_lhs`` for ``rep``, as the checks make it."""
+    return {"g": {}, "classes": {}, "stack": {}, "rows": _column_rows(rep)}
+
+
 def engine_defects(seq, rep, words, bvalued=False):
     """(word, _lhs - oracle) for every word, through one memo for all of
     them, as the checks keep it."""
     value, combine = (seq.moment, np.kron) if bvalued else (seq.phi_moment, operator.mul)
-    rows_for, memo = _rows_for(rep), {"g": {}, "classes": {}, "fold": {}}
+    memo = engine_memo(rep)
     words = list(words)
     for word in words:
-        got = _lhs(seq, rep, word, value, combine, rows_for, memo)
+        got = _lhs(seq, rep, word, value, combine, memo)
         want = tuple_sum_lhs(seq, rep, word, value, combine)
         yield word, -want if got is None else got - want
 
@@ -117,13 +121,17 @@ def bernoulli_iid(n=4):
     return IndependentSequence({i: [1, 0] * 4 for i in range(1, n + 1)})
 
 
-def fold_and_oracle(rep, max_len):
+def fold_and_oracle(rep, max_len, memo=None):
     """(case, fold, enumeration) for every non-crossing partition of size up
-    to max_len and every target tuple."""
+    to max_len and every target tuple, the fold being ``_stack`` at the
+    targets through one rows list and one memo for the whole sweep, as the
+    engine keeps them per check."""
+    rows, memo = _column_rows(rep), {} if memo is None else memo
     for m in range(1, max_len + 1):
         for part in enumerate_nc(m):
+            plan = nesting_plan(part)
             for targets in itertools.product(range(1, rep.k + 1), repeat=m):
-                yield ((part, targets), kernel_constrained_sum(rep, part, targets),
+                yield ((part, targets), _stack(rows, plan, targets, memo),
                        enumerated_kernel_sum(rep, part, targets))
 
 
@@ -193,27 +201,24 @@ class TestFoldMatchesEnumeration:
     def test_unrelated_exact_family(self):
         # The fold is an identity of sums, not a consequence of the defining
         # relations: on generators that satisfy none of them the sums are not
-        # 0 or 1, so the order of the factors and of the blocks shows.
+        # 0 or 1, so the order of the factors and of the blocks shows.  Each
+        # sum here is one call of the public function, with a memo of its own.
         rep = self.unrelated_exact_family()
-        for case, folded, enumerated in fold_and_oracle(rep, 4):
-            assert np.array_equal(folded, enumerated), case
-
-    def test_unrelated_exact_family_through_one_memo(self):
-        # One block-sum memo for the whole sweep, as check_kernel_sums keeps
-        # it.  A key without the span's shape or without its targets hands
-        # one block's sum to another; on a valid family every sum is 0 or 1,
-        # so such a hand-over can go unseen, while here the sums differ.
-        rep = self.unrelated_exact_family()
-        rows_for, memo = _rows_for(rep), {}
         for m in range(1, 5):
             for part in enumerate_nc(m):
-                plan = nesting_plan(part)
                 for targets in itertools.product(range(1, rep.k + 1), repeat=m):
-                    value = _fold(rep.gens, plan, targets, rows_for, memo)
-                    folded = rep.zero() if value is None else value
-                    assert np.array_equal(
-                        folded, enumerated_kernel_sum(rep, part, targets)
-                    ), (part, targets)
+                    assert np.array_equal(kernel_constrained_sum(rep, part, targets),
+                                          enumerated_kernel_sum(rep, part, targets)
+                                          ), (part, targets)
+
+    def test_unrelated_exact_family_through_one_memo(self):
+        # One block-stack memo for the whole sweep, as the engine keeps it.
+        # A key without the span's shape or without its targets hands one
+        # block's sum to another; on a valid family every sum is 0 or 1, so
+        # such a hand-over can go unseen, while here the sums differ.
+        rep, memo = self.unrelated_exact_family(), {}
+        for case, folded, enumerated in fold_and_oracle(rep, 4, memo):
+            assert np.array_equal(folded, enumerated), case
         assert memo
 
     def test_extended_rep_to_roundoff(self):
@@ -222,37 +227,45 @@ class TestFoldMatchesEnumeration:
             assert residual_norm(folded - enumerated) <= 1e-12, case
 
 
-def generator_array(rep: Representation) -> np.ndarray:
-    """The (n, k, d, d) generator array that check_kernel_sums stacks from."""
-    return np.array([[rep.gen(i, j) for j in range(1, rep.k + 1)] for i in range(1, rep.n + 1)])
+def all_column_rows(rep: Representation):
+    """The tuple of all k columns and the rows that check_kernel_sums stacks
+    from: rows[v - 1] maps that tuple to the (k, d, d) stack of row v."""
+    every = tuple(range(1, rep.k + 1))
+    return every, [{every: np.array([rep.gen(v, j) for j in every])}
+                   for v in range(1, rep.n + 1)]
 
 
 class TestSweepMatchesFold:
-    """The stacked sweep of check_kernel_sums against ``_fold`` at each
-    target tuple: the zero matrix where the fold is None, and the same matrix
-    bit for bit (the same association of the same products) elsewhere, on
-    every non-crossing partition of size up to 4, with one stack memo for the
-    whole sweep as check_kernel_sums keeps it."""
+    """``_stack`` against ``helpers._fold`` at each target tuple, both with
+    all columns at every position (check_kernel_sums) and with the tuple's
+    own columns (the engine): the zero matrix where the fold is None, and the
+    same matrix bit for bit (the same association of the same products)
+    elsewhere, on every non-crossing partition of size up to 4, with one
+    memo of each kind for the whole sweep, as the checks keep them."""
 
     @staticmethod
     def assert_sweep_is_fold(rep, max_len=4):
-        gens, rows_for, stack_memo, fold_memo = generator_array(rep), _rows_for(rep), {}, {}
+        (every, rows), columns, rows_for = all_column_rows(rep), _column_rows(rep), _rows_for(rep)
+        stack_memo, column_memo, fold_memo = {}, {}, {}
         for m in range(1, max_len + 1):
             tuples = list(itertools.product(range(1, rep.k + 1), repeat=m))
             for part in enumerate_nc(m):
                 plan = nesting_plan(part)
-                swept = _stack(gens, plan, stack_memo)
+                swept = _stack(rows, plan, (every,) * m, stack_memo)
                 assert swept.shape == (len(tuples), rep.dim, rep.dim), part
                 assert swept.dtype == rep.zero().dtype, part
                 for targets, got in zip(tuples, swept):
                     want = _fold(rep.gens, plan, targets, rows_for, fold_memo)
-                    if want is None:
-                        assert not (got != 0).any(), (part, targets)
-                    elif rep.exact:
-                        assert np.array_equal(got, want), (part, targets)
-                    else:
-                        assert got.tobytes() == want.tobytes(), (part, targets)
-        assert stack_memo
+                    one = _stack(columns, plan, targets, column_memo)
+                    assert one.shape == (rep.dim, rep.dim), (part, targets)
+                    for stacked in (got, one):
+                        if want is None:
+                            assert not (stacked != 0).any(), (part, targets)
+                        elif rep.exact:
+                            assert np.array_equal(stacked, want), (part, targets)
+                        else:
+                            assert stacked.tobytes() == want.tobytes(), (part, targets)
+        assert stack_memo and column_memo
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_permutation_reps(self, n):
@@ -282,7 +295,8 @@ class TestSweepMatchesFold:
     def test_vanished_block_fills_every_tuple_it_begins(self):
         rep = permutation_rep((2, 1, 3))
         plan = nesting_plan(Partition(3, [(1, 2), (3,)]))
-        swept = _stack(generator_array(rep), plan, {})
+        every, rows = all_column_rows(rep)
+        swept = _stack(rows, plan, (every,) * 3, {})
         # targets (1, 2, j): no row i has u_{i1} and u_{i2} both nonzero
         assert _fold(rep.gens, plan, (1, 2, 1), _rows_for(rep), {}) is None
         assert not (swept[3:6] != 0).any()
@@ -378,6 +392,18 @@ class TestEngineMatchesTupleSum:
         self.assert_close(engine_defects(FreeSequence(law, CACHE), two_projection_rep(cfg["theta"]),
                                          words, bvalued=True))
 
+    @pytest.mark.parametrize("rep", [permutation_rep((2, 3, 1)),
+                                     build_block_rep(3, 2, dim=2, seed=SEED + 4)])
+    def test_engine_stacks_hold_one_matrix(self, rep):
+        # The engine reads _stack at its word's targets, so every block stack
+        # it memoizes is one matrix; a stack over a whole span would hold k^L.
+        law = semicircular_law()
+        seq, memo = FreeSequence(law, CACHE), engine_memo(rep)
+        for word in suite_words(law, 3, 3):
+            _lhs(seq, rep, word, seq.phi_moment, operator.mul, memo)
+        assert memo["stack"]
+        assert all(stack.shape == (rep.dim, rep.dim) for stack in memo["stack"].values())
+
     def test_permutation_reps_exact(self):
         law = semicircular_law()
         for perm in itertools.permutations(range(1, 4)):
@@ -446,8 +472,8 @@ class TestExchangeable:
         word = Word.plain(law, (1, 2, 1, 4))
         for model, crossing in ((seq, [Partition(4, [(1, 3), (2, 4)])]),
                                 (FreeSequence(law, CACHE), [])):
-            memo = {"g": {}, "classes": {}, "fold": {}}
-            _lhs(model, rep, word, model.phi_moment, operator.mul, _rows_for(rep), memo)
+            memo = engine_memo(rep)
+            _lhs(model, rep, word, model.phi_moment, operator.mul, memo)
             classes = memo["g"][(word.powers, id(word.inserts))]  # those with g != 0
             assert [sigma for sigma, plan, _ in classes if plan is None] == crossing
         plain = tuple_sum_lhs(seq, rep, word, seq.phi_moment, operator.mul)

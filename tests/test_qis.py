@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -298,6 +299,19 @@ class TestSerialization:
         assert (restored.k, restored.n, restored.dim) == (rep.k, rep.n, rep.dim)
         for key, g in rep.gens.items():
             assert np.allclose(restored.gens[key], g, atol=1e-15)
+
+    def test_decoded_entries_are_the_pairs_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        gens = {(i, j): rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+                for i in (1, 2) for j in (1, 2)}
+        gens[(1, 1)][0, 0] = complex(-0.0, -0.0)
+        document = json.loads(rep_to_json(
+            Representation(kind="increasing", k=2, n=2, gens=gens, dim=3)))
+        restored = rep_from_json(json.dumps(document))
+        for key, rows in document["gens"].items():
+            want = np.array([[complex(*pair) for pair in row] for row in rows])
+            i, j = map(int, key.split(","))
+            assert restored.gens[(i, j)].tobytes() == want.tobytes(), key
 
     def test_exact_rep_serializes_to_float(self):
         rep = classical_point_rep(IncreasingSequence(2, 4, (2, 4)))
