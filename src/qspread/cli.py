@@ -55,8 +55,9 @@ def load_config(path: str | None) -> dict:
 
 def rep_from_json(text: str) -> Representation:
     """Decode a representation document: checked against REP_SCHEMA, then for
-    what the schema cannot state, generator keys 'i,j' inside 1..n x 1..k and
-    ``Representation``'s checks.  Raises ValueError naming the first problem."""
+    what the schema cannot state, generator keys 'i,j' in plain decimal inside
+    1..n x 1..k, and ``Representation``'s checks.  Raises ValueError naming the
+    first problem."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a representation document must be a JSON object")
@@ -64,9 +65,9 @@ def rep_from_json(text: str) -> Representation:
     gens = {}
     for key, rows in data["gens"].items():
         i, _, j = key.partition(",")
-        if not (i.isdecimal() and j.isdecimal()
+        if not (i.isdecimal() and j.isdecimal() and key == f"{int(i)},{int(j)}"
                 and 1 <= int(i) <= data["n"] and 1 <= int(j) <= data["k"]):
-            raise ValueError(f"generator key {key!r} is not 'i,j' inside "
+            raise ValueError(f"generator key {key!r} is not 'i,j' in plain decimal inside "
                              f"1..{data['n']} x 1..{data['k']}")
         dim = data["dim"]
         if len(rows) != dim or any(len(row) != dim for row in rows):

@@ -38,11 +38,7 @@ from .qis import (
     DEFAULT_REP_TOLERANCE, Representation, check_increasing_relations, enumerate_increasing,
 )
 from .qperm import check_magic_unitary
-from .reports import CheckReport, ResidualTracker, require_within
-
-# Work budget of check_kernel_sums: the columns k of the family and the word
-# length, each bounded as the kernel_sums config caps bound them.
-KERNEL_SUMS_CAPS = {"k": 5, "max_len": 6}
+from .reports import CheckReport, ResidualTracker, budget, require_within
 
 
 def _require_valid(rep: Representation, tolerance: float) -> None:
@@ -117,11 +113,12 @@ def check_kernel_sums(
     seed: int | None = None,
 ) -> CheckReport:
     """Sweep the kernel-constrained sums over all non-crossing partitions and
-    all target tuples of length up to ``max_len``, within KERNEL_SUMS_CAPS.
+    all target tuples of length up to ``max_len``, within their work budgets.
     Each partition is one ``_stack`` with all k columns at every position, a
     stack over [k]^m, against the identity where the targets are constant on
     its blocks and zero elsewhere, with the residuals of ``residual_norms``."""
-    require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, KERNEL_SUMS_CAPS)
+    require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, {
+        "k": budget("kernel_sums.n_max"), "max_len": budget("kernel_sums.quantum_m_max")})
     _require_valid(rep, tolerance)
     params = {"kind": rep.kind, "k": rep.k, "n": rep.n, "max_len": max_len}
     tracker = ResidualTracker("kernel_constrained_sums", tolerance, params=params,

@@ -33,12 +33,9 @@ from .linalg import (
     residual_norm,
 )
 from .partitions import MobiusCache, Partition, kernel, nesting_plan
-from .reports import require_within
+from .reports import budget, require_within
 
 CATALAN_CAP = 64
-# Work budget of moment_cumulant_roundtrip (see config.schema.json): at m = 10
-# the float matrix-law check ran 80 s and failed.
-ROUNDTRIP_CAPS = {"m": 9}
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +241,10 @@ def moment_cumulant_roundtrip(
     tolerance: float,
     cache: MobiusCache,
 ) -> bool:
-    """Check E[word] = sum of partitioned cumulants over NC(m), m within
-    ROUNDTRIP_CAPS: exactly for an exact law, else within ``tolerance``."""
-    require_within("moment_cumulant_roundtrip", {"m": m}, ROUNDTRIP_CAPS)
+    """Check E[word] = sum of partitioned cumulants over NC(m), m within its
+    work budget: exactly for an exact law, else within ``tolerance``."""
+    kind = "scalar" if isinstance(law, ScalarLaw) else "matrix"
+    require_within("moment_cumulant_roundtrip", {"m": m}, {"m": budget(f"roundtrip.{kind}_m_max")})
     rng = np.random.default_rng(seed)
     inserts = tuple(law.random_element(rng) for _ in range(m + 1))
     word = Word((1,) * m, inserts, tuple(powers) if powers else (1,) * m)

@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-NC_ENUMERATION_LIMIT = 12
+from .reports import budget
+
 ORDER_M_MAX = 8  # |NC(8)|^2 = 1430^2 booleans, about 2 MB
 
 _set = object.__setattr__
@@ -225,8 +226,8 @@ def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
     already placed, so blocks come out by increasing minimum."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m > NC_ENUMERATION_LIMIT:
-        raise ValueError(f"m={m} exceeds enumeration limit {NC_ENUMERATION_LIMIT}")
+    if m > (limit := budget("nc.m_max")):
+        raise ValueError(f"m={m} exceeds enumeration limit {limit}")
     while len(strings) <= m:
         size, out = len(strings), []
         for r in range(size):
@@ -250,7 +251,7 @@ def catalan(m: int) -> int:
 
 
 class MobiusCache:
-    """The one context object, for NC(m) with m up to NC_ENUMERATION_LIMIT:
+    """The one context object, for NC(m) with m up to the ``nc.m_max`` budget:
     NC(m) per m, built from the RGS strings of the smaller sizes, with its
     tables and, for m <= ORDER_M_MAX, its order matrix; per RGS, the NC
     elements below a partition (crossing or not) in the order of NC(m); the

@@ -6,8 +6,11 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 EXACT_ZERO = "exact-zero"
+# The one definition of the config: defaults, types, bounds and work budgets.
+SCHEMA = json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
 
 @dataclass
@@ -113,12 +116,9 @@ class ResidualTracker:
             residual = float(self.tolerance)
         self.add(witness, residual)
 
-    def max_residual(self):
-        return self.worst if self.worst is not None else 0
-
     def report(self, extra_params: dict | None = None) -> CheckReport:
         runtime_ms = int((time.perf_counter() - self._start) * 1000)
-        worst, witness = self.max_residual(), self.worst_witness
+        worst, witness = (0 if self.worst is None else self.worst), self.worst_witness
         if self.nonfinite is not None:
             witness, worst = self.nonfinite
         elif self.worst is None:
@@ -156,6 +156,15 @@ def _as_jsonable(witness):
     if isinstance(witness, (int, float, str, bool)):
         return witness
     return repr(witness)
+
+
+def budget(key: str) -> int:
+    """The work budget of the dotted config key ``key``, its schema maximum,
+    read at each call: a direct call and ``merge_config`` check one number."""
+    node = SCHEMA
+    for part in key.split("."):
+        node = node["properties"][part]
+    return node["maximum"]
 
 
 def require_within(check: str, sizes: dict, caps: dict) -> None:

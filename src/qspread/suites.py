@@ -11,8 +11,8 @@ import copy
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -57,17 +57,15 @@ from .qis import (
     two_projection_rep,
 )
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
-from .reports import CheckReport, ResidualTracker, error_report
+from .reports import SCHEMA, CheckReport, ResidualTracker, error_report
 from .weingarten import (
-    POSITIVITY_CAPS,
+    GRAM_SIZE_CAP,
     combinatorial_unit_identity,
     finite_n_reconstruction,
     gram_size,
     oracle_equivalence_sweep,
     state_positivity_evidence,
 )
-
-_SCHEMA = json.loads(Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
 
 def _collect(node: dict, field: str) -> dict:
@@ -82,22 +80,12 @@ def _collect(node: dict, field: str) -> dict:
     return out
 
 
-DEFAULT_CONFIG: dict = _collect(_SCHEMA, "default")
-# Work budgets, the schema's maximums (their measurements are in its descriptions).
-WORK_CAPS = _collect(_SCHEMA, "maximum")
-NC_M_CAPS = {key: cap for key, cap in WORK_CAPS["nc"].items() if key != "m_max"}
-# Work budget of a matrix law, per kind and for the bvalued section's own: a
-# cap on the side d*D of the ambient matrices it multiplies, the largest side
-# at which the sections reading it finished within criteria 7-8's 60 s with
-# D = 1, a side's costliest shape, on a shared 2-vCPU host (exchangeable 59 s
-# and 51 s, spreadable 39 s and 43 s, bvalued 59 s; one side above,
-# each timed out).  The caps bound time only: the float checks fail on
-# roundoff well inside them (see README).
+DEFAULT_CONFIG: dict = _collect(SCHEMA, "default")
+# Work budgets no config key holds: the side d*D of the ambient matrices of a
+# matrix law, per kind and for the bvalued section's own (measured as the
+# schema's descriptions of the law kinds and of bvalued say).
 LAW_SIDE_CAPS = {"matrix": 785, "rational_matrix": 21}
 BVALUED_SIDE_CAP = 1156
-# Side of the positivity Gram matrix: 341 at the defaults k = n = 2 with the
-# largest max_len, 19 s; the next max_len (1,365) exceeded 120 s.
-GRAM_SIZE_CAP = POSITIVITY_CAPS["gram_size"]
 
 
 class ConfigError(ValueError):
@@ -106,23 +94,25 @@ class ConfigError(ValueError):
 
 
 def _law_variant(kind: str) -> dict:
-    return next(variant for variant in _SCHEMA["properties"]["law"]["oneOf"]
+    return next(variant for variant in SCHEMA["properties"]["law"]["oneOf"]
                 if variant["properties"]["kind"]["const"] == kind)
 
 
 # The JSON types of each Python type that json reads, where a bool is no number.
 _TYPES = {dict: {"object"}, list: {"array"}, bool: {"boolean"}, int: {"integer", "number"},
           float: {"number"}, type(None): {"null"}}
+# Beyond it no number is finite: json reads 1e400 as inf, but 10**400 as an int.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _fits(node: dict):
-    """A one-pass test of ``node`` when it is a type alone, or an array type
-    with only minItems, maxItems and such items; else a false value."""
+    """A one-pass test of ``node`` when it is a number type alone, or an array
+    type with only minItems, maxItems and such items; else a false value."""
     kinds = node.get("type", ())
     kinds = {kinds} if isinstance(kinds, str) else {*kinds}
     ok = {t for t, names in _TYPES.items() if names & kinds}
-    if node.keys() == {"type"}:
-        return lambda x: type(x) in ok and (type(x) is not float or math.isfinite(x))
+    if node.keys() == {"type"} and ok <= {int, float}:
+        return lambda x: type(x) in ok and -_FLOAT_MAX <= x <= _FLOAT_MAX
     inner = node.keys() - {"minItems", "maxItems"} == {"type", "items"} and _fits(node["items"])
     low, high = node.get("minItems", 0), node.get("maxItems", math.inf)
     return inner and ok == {list} and (
@@ -133,12 +123,13 @@ def check_schema(node: dict, value, where: str) -> None:
     """Raise ConfigError naming the dotted key ``where`` unless ``value``
     satisfies the schema ``node``, in the part of JSON Schema that the
     package's two schemas use, where a float is never an integer and a
-    number must be finite."""
+    number must be finite: off an integer key, an int no float holds is not."""
     kinds = node.get("type", ())
     kinds = [kinds] if isinstance(kinds, str) else kinds
     if kinds and _TYPES.get(type(value), set()).isdisjoint(kinds):
         raise ConfigError(f"key {where!r} must be {' or '.join(kinds)}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if (type(value) in (int, float) and "integer" not in kinds
+            and not -_FLOAT_MAX <= value <= _FLOAT_MAX):
         raise ConfigError(f"key {where!r} must be finite, got {value!r}")
     if "enum" in node and value not in node["enum"]:
         raise ConfigError(f"key {where!r} must be one of "
@@ -227,7 +218,7 @@ def merge_config(overrides: dict | None) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError("the config must be a JSON object")
     merged = _merge(copy.deepcopy(DEFAULT_CONFIG), overrides)
-    check_schema(_SCHEMA, merged, "")
+    check_schema(SCHEMA, merged, "")
     law = _law_with_defaults(merged["law"])
     _moment_lists(law)
     for path, sizes, cap in (("law", law, LAW_SIDE_CAPS.get(law["kind"])),

@@ -44,11 +44,11 @@ from .partitions import (
     leq,
     meet,
 )
-from .reports import CheckReport, ResidualTracker, require_within
+from .reports import CheckReport, ResidualTracker, budget, require_within
 
-# Work budgets of the oracle sweep and the positivity check (see config.schema.json).
-ORACLE_CAPS = {"k_max": 10, "n_max": 10, "m_max": 6}
-POSITIVITY_CAPS = {"max_len": 4, "gram_size": 341}
+# Work budget of the positivity Gram matrix side: 341 at the defaults k = n = 2
+# with the largest max_len, 19 s; the next max_len (1,365) exceeded 120 s.
+GRAM_SIZE_CAP = 341
 
 
 def _band_offsets(rows: tuple, cols: tuple, n: int) -> tuple | None:
@@ -190,9 +190,9 @@ def oracle_equivalence_sweep(
 ) -> CheckReport:
     """Exact agreement of the closed form with the freeness oracle on every
     in-band query with k <= k_max, n <= n_max, m <= m_max, plus the off-band
-    zero pattern on small sizes, within ORACLE_CAPS."""
-    require_within("oracle_equivalence_sweep",
-                   {"k_max": k_max, "n_max": n_max, "m_max": m_max}, ORACLE_CAPS)
+    zero pattern on small sizes, each size within its ``psi`` budget."""
+    require_within("oracle_equivalence_sweep", {"k_max": k_max, "n_max": n_max, "m_max": m_max},
+                   {key: budget(f"psi.{key}") for key in ("k_max", "n_max", "m_max")})
     cache = cache or default_cache()
     tracker = ResidualTracker(
         "state_oracle_equivalence",
@@ -235,11 +235,11 @@ def state_positivity_evidence(
     in-band words up to max_len.
 
     Numerical evidence that the functional is a state, not a proof; reports
-    carry an explicit evidence flag.  Sizes stay within POSITIVITY_CAPS.
+    carry an explicit evidence flag.  Sizes stay within their work budgets.
     """
     require_within("state_positivity_evidence",
                    {"max_len": max_len, "gram_size": gram_size(k, n, max_len)},
-                   POSITIVITY_CAPS)
+                   {"max_len": budget("positivity.max_len"), "gram_size": GRAM_SIZE_CAP})
     letters = [
         ((j - 1) * n + i, j) for j in range(1, k + 1) for i in range(1, n + 1)
     ]

@@ -9,11 +9,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qspread import cli
+from qspread import cli, reports, weingarten
 from qspread.cli import REP_FILE_BYTES_MAX, main, rep_from_json
-from qspread.invariance import KERNEL_SUMS_CAPS, check_kernel_sums
-from qspread.moments import ROUNDTRIP_CAPS, moment_cumulant_roundtrip, semicircular_law
-from qspread.partitions import NC_ENUMERATION_LIMIT, MobiusCache
+from qspread.invariance import check_kernel_sums
+from qspread.moments import moment_cumulant_roundtrip, random_matrix_law, semicircular_law
+from qspread.partitions import MobiusCache
 from qspread.qis import (
     INCREASING_N_MAX,
     IncreasingSequence,
@@ -22,22 +22,20 @@ from qspread.qis import (
     two_projection_rep,
 )
 from qspread.qperm import MAGIC_CAPS, check_magic_unitary, permutation_rep
+from qspread.reports import budget
 from qspread.suites import (
     BVALUED_SIDE_CAP,
     DEFAULT_CONFIG,
-    GRAM_SIZE_CAP,
     LAW_SIDE_CAPS,
-    NC_M_CAPS,
-    WORK_CAPS,
     ConfigError,
+    _collect,
     gram_size,
     merge_config,
     run_all,
     run_section,
 )
 from qspread.weingarten import (
-    ORACLE_CAPS,
-    POSITIVITY_CAPS,
+    GRAM_SIZE_CAP,
     oracle_equivalence_sweep,
     state_positivity_evidence,
 )
@@ -48,6 +46,11 @@ SCHEMA = json.loads((Path(__file__).parents[1] / "src" / "qspread" / "config.sch
                     .read_text())
 REP_SCHEMA = json.loads((Path(__file__).parents[1] / "src" / "qspread"
                          / "representation.schema.json").read_text())
+# The work budgets, the schema's maximums, nested as the config is.
+WORK_CAPS = _collect(SCHEMA, "maximum")
+NC_M_CAPS = {key: cap for key, cap in WORK_CAPS["nc"].items() if key != "m_max"}
+# An integer that json reads exactly and that no float holds.
+HUGE = 10**400
 
 TRIMMED = {
     "nc": {"m_max": 6, "mobius_m_max": 4, "zeta_m_max": 3, "column_m_max": 4},
@@ -183,6 +186,15 @@ def schema_leaves(node, field, path=()):
         if field in sub:
             yield path + (key,), sub[field]
         yield from schema_leaves(sub, field, path + (key,))
+
+
+def schema_node(key):
+    """The node of the dotted config key ``key`` in the schema the package
+    reads, for a test to patch its maximum."""
+    node = reports.SCHEMA
+    for part in key.split("."):
+        node = node["properties"][part]
+    return node
 
 
 def at_bound(path, value):
@@ -480,7 +492,8 @@ class TestMalformedRepFile:
         ([math.nan, "1"], "key 'gens.1,1.0.0.0' must be finite, got nan"),
         ([0, math.inf], "key 'gens.1,1.0.0.1' must be finite, got inf"),
         ([0, 0, 0], "key 'gens.1,1.0.0' must have 2 to 2 items, got 3"),
-    ], ids=["string", "bool", "nan-first", "inf", "wrong-length"])
+        ([HUGE, 0], f"key 'gens.1,1.0.0.0' must be finite, got {HUGE}"),
+    ], ids=["string", "bool", "nan-first", "inf", "wrong-length", "huge-int"])
     def test_entry_messages_name_the_first_bad_index(self, pair, message):
         document = copy.deepcopy(IDENTITY_REP)
         document["gens"]["1,1"][0][0] = pair
@@ -502,10 +515,15 @@ class TestMalformedRepFile:
         ({**IDENTITY_REP, "k": 2.0}, "2.0 is not an integer"),
         (with_entry(IDENTITY_REP, math.nan), "a non-finite number"),
         (with_entry(IDENTITY_REP, math.inf), "a non-finite number"),
+        (with_entry(IDENTITY_REP, HUGE), "an int that no float holds"),
         ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "3,7": IDENTITY_REP["gens"]["1,1"]}},
          "a generator key inside 1..n x 1..k"),
         ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "one,1": IDENTITY_REP["gens"]["1,1"]}},
          "a generator key inside 1..n x 1..k"),
+        ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "01,1": IDENTITY_REP["gens"]["1,1"]}},
+         "a generator key in plain decimal"),
+        ({**IDENTITY_REP, "gens": {**IDENTITY_REP["gens"], "\u0661,1": IDENTITY_REP["gens"]["1,1"]}},
+         "a generator key in plain decimal"),
         ({**rep_to_json_dict(classical_point_rep(IncreasingSequence(1, 2, (1,)))),
           "kind": "permutation"}, "k = n for kind permutation"),
     ]
@@ -551,6 +569,18 @@ class TestMalformedRepFile:
         code, err = self.run_with(tmp_path, capsys, document)
         assert code == 2
         assert err.startswith("error:") and "'1,1'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("alias", ["01,1", "1,01", "\u0661,1"],
+                             ids=["leading-zero-row", "leading-zero-column", "arabic-indic-digit"])
+    def test_two_keys_naming_one_generator_is_2(self, tmp_path, capsys, alias):
+        # "1,1" is no projection; a later key that read as (1, 1) used to replace it
+        document = copy.deepcopy(IDENTITY_REP)
+        document["gens"]["1,1"] = [[[5, 0]]]
+        document["gens"][alias] = [[[1, 0]]]
+        code, err = self.run_with(tmp_path, capsys, document)
+        assert code == 2
+        assert err == (f"error: generator key {alias!r} is not 'i,j' in plain decimal "
+                       "inside 1..2 x 1..2\n"), err
 
     def test_generator_key_outside_family_is_2(self, tmp_path, capsys):
         document = copy.deepcopy(IDENTITY_REP)
@@ -702,6 +732,22 @@ class TestConfigValidation:
         assert printed["tolerances"]["magic"] == 0
         assert printed["law"] == {"kind": "independent", "moments": {"1": [1]}}
 
+    @pytest.mark.parametrize("key, argv", [
+        ("tolerances.magic", ["qperm", "magic", "--rep", "permutation:2,1"]),
+        ("tolerances.relations", ["qis", "relations"]),
+        ("tolerances.positivity", ["wg", "psi"]),
+        ("exchangeable.theta", ["inv", "exchangeable"]),
+    ])
+    def test_int_that_no_float_holds_is_2_and_named(self, tmp_path, capsys, key, argv):
+        section, leaf = key.split(".")
+        assert main([*argv, "--config", write_config(tmp_path, {section: {leaf: HUGE}})]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: cannot load config: key '{key}' "
+                                                    f"must be finite, got {HUGE}"), out.err
+        assert "Traceback" not in out.err
+        # an integer key holds any int
+        assert merge_config({"seed": HUGE})["seed"] == HUGE
+
     def test_values_below_their_bounds_are_2(self, tmp_path, capsys):
         broken = json.loads((Path(__file__).parents[1] / "docs" / "examples" / "broken.json")
                             .read_text())
@@ -726,6 +772,10 @@ class TestConfigValidation:
         ({"law": {"kind": "matrix", "d": 2.0}}, "10.0 as an integer"),
         ({"tolerances": {"exchangeable": math.inf}}, "a non-finite number"),
         ({"exchangeable": {"theta": math.nan}}, "a non-finite number"),
+        ({"tolerances": {"magic": HUGE}}, "an int that no float holds"),
+        ({"tolerances": {"relations": HUGE}}, "an int that no float holds"),
+        ({"tolerances": {"positivity": HUGE}}, "an int that no float holds"),
+        ({"exchangeable": {"theta": HUGE}}, "an int that no float holds"),
         ({"law": {"kind": "matrix", "d": 393}}, "d*D"),
         ({"law": {"kind": "rational_matrix", "D": 11}}, "d*D"),
         ({"bvalued": {"d": 1, "D": BVALUED_SIDE_CAP + 1}}, "d*D"),
@@ -918,18 +968,43 @@ class TestDirectCallBudgets:
     caps when called directly: each size at its cap runs (on the smallest
     other sizes), one above raises ValueError naming it before any work."""
 
-    def test_config_caps_read_the_direct_call_budgets(self):
-        assert WORK_CAPS["kernel_sums"]["n_max"] == KERNEL_SUMS_CAPS["k"]
-        assert WORK_CAPS["kernel_sums"]["quantum_m_max"] == KERNEL_SUMS_CAPS["max_len"]
-        assert WORK_CAPS["psi"] == ORACLE_CAPS
-        assert WORK_CAPS["nc"]["m_max"] == NC_ENUMERATION_LIMIT
-        assert WORK_CAPS["positivity"]["max_len"] == POSITIVITY_CAPS["max_len"]
-        assert WORK_CAPS["roundtrip"] == {"scalar_m_max": ROUNDTRIP_CAPS["m"],
-                                          "matrix_m_max": ROUNDTRIP_CAPS["m"]}
-        assert GRAM_SIZE_CAP == POSITIVITY_CAPS["gram_size"]
+    # (a dotted config key, the direct call whose size it bounds, its message
+    # at 3 over a budget of 2)
+    SHARED = [
+        ("nc.m_max", lambda m: MobiusCache().nc(m), "m=3 exceeds enumeration limit 2"),
+        ("roundtrip.scalar_m_max", lambda m: moment_cumulant_roundtrip(
+            semicircular_law(), m, tolerance=0, cache=MobiusCache()), "m <= 2"),
+        ("roundtrip.matrix_m_max", lambda m: moment_cumulant_roundtrip(
+            random_matrix_law(2, 2, 1), m, tolerance=1e-9, cache=MobiusCache()), "m <= 2"),
+        ("kernel_sums.n_max", lambda k: check_kernel_sums(
+            permutation_rep(tuple(range(1, k + 1))), 1, tolerance=0, cache=MobiusCache()),
+         "k <= 2"),
+        ("kernel_sums.quantum_m_max", lambda m: check_kernel_sums(
+            permutation_rep((1,)), m, tolerance=0, cache=MobiusCache()), "max_len <= 2"),
+        ("psi.k_max", lambda k: oracle_equivalence_sweep(k, 1, 1, MobiusCache()), "k_max <= 2"),
+        ("psi.n_max", lambda n: oracle_equivalence_sweep(1, n, 1, MobiusCache()), "n_max <= 2"),
+        ("psi.m_max", lambda m: oracle_equivalence_sweep(1, 1, m, MobiusCache()), "m_max <= 2"),
+        ("positivity.max_len", lambda length: state_positivity_evidence(
+            1, 1, length, 1e-10, MobiusCache()), "max_len <= 2"),
+    ]
+
+    @pytest.mark.parametrize("key, call, message", SHARED, ids=[key for key, _, _ in SHARED])
+    def test_one_schema_maximum_bounds_the_config_and_the_direct_call(
+            self, monkeypatch, key, call, message):
+        """Lowering the schema maximum of a key lowers both budgets at once:
+        merge_config refuses the next value, naming the key, and the direct
+        call raises ValueError at it."""
+        monkeypatch.setitem(schema_node(key), "maximum", 2)
+        section, leaf = key.split(".")
+        assert merge_config({section: {leaf: 2}})[section][leaf] == 2
+        with pytest.raises(ConfigError, match=f"'{key}' must be <= 2 \\(work budget\\), got 3"):
+            merge_config({section: {leaf: 3}})
+        call(2)
+        with pytest.raises(ValueError, match=message):
+            call(3)
 
     def test_kernel_sums_at_and_over_the_caps(self):
-        k_cap, len_cap = KERNEL_SUMS_CAPS["k"], KERNEL_SUMS_CAPS["max_len"]
+        k_cap, len_cap = budget("kernel_sums.n_max"), budget("kernel_sums.quantum_m_max")
         cache = MobiusCache()
         assert check_kernel_sums(permutation_rep((1,)), len_cap, tolerance=0, cache=cache).passed
         assert check_kernel_sums(permutation_rep(tuple(range(1, k_cap + 1))), 1,
@@ -941,21 +1016,22 @@ class TestDirectCallBudgets:
                               cache=cache)
 
     def test_oracle_sweep_at_and_over_the_caps(self):
-        for key in ORACLE_CAPS:
-            sizes = {"k_max": 1, "n_max": 1, "m_max": 1, key: ORACLE_CAPS[key]}
+        for key in ("k_max", "n_max", "m_max"):
+            cap = budget(f"psi.{key}")
+            sizes = {"k_max": 1, "n_max": 1, "m_max": 1, key: cap}
             assert oracle_equivalence_sweep(**sizes).passed, key
             sizes[key] += 1
-            with pytest.raises(ValueError, match=f"{key} <= {ORACLE_CAPS[key]}"):
+            with pytest.raises(ValueError, match=f"{key} <= {cap}"):
                 oracle_equivalence_sweep(**sizes)
 
     def test_positivity_at_and_over_the_caps(self, monkeypatch):
-        len_cap, tol, cache = POSITIVITY_CAPS["max_len"], 1e-10, MobiusCache()
+        len_cap, tol, cache = budget("positivity.max_len"), 1e-10, MobiusCache()
         assert state_positivity_evidence(1, 1, len_cap, tol, cache).params["gram_size"] \
             == len_cap + 1
         with pytest.raises(ValueError, match=f"max_len <= {len_cap}"):
             state_positivity_evidence(1, 1, len_cap + 1, tol, cache)
         # the Gram side at its cap takes 19 s, so the cap is lowered to a small side
-        monkeypatch.setitem(POSITIVITY_CAPS, "gram_size", gram_size(2, 1, 2))
+        monkeypatch.setattr(weingarten, "GRAM_SIZE_CAP", gram_size(2, 1, 2))
         assert state_positivity_evidence(2, 1, 2, tol, cache).passed
         with pytest.raises(ValueError, match=f"gram_size <= {gram_size(2, 1, 2)}"):
             state_positivity_evidence(3, 1, 2, tol, cache)
@@ -964,10 +1040,12 @@ class TestDirectCallBudgets:
     def test_roundtrip_at_and_over_the_cap(self, monkeypatch):
         # m = 10 raises before the law is read
         cache = MobiusCache()
-        with pytest.raises(ValueError, match=f"m <= {ROUNDTRIP_CAPS['m']} \\(work budget\\)"):
-            moment_cumulant_roundtrip(object(), ROUNDTRIP_CAPS["m"] + 1, tolerance=0, cache=cache)
-        # m = 9, the shipped cap, takes seconds, so the cap is lowered to 3
-        monkeypatch.setitem(ROUNDTRIP_CAPS, "m", 3)
+        cap = budget("roundtrip.matrix_m_max")  # a law that is no ScalarLaw reads it
+        with pytest.raises(ValueError, match=f"m <= {cap} \\(work budget\\)"):
+            moment_cumulant_roundtrip(object(), cap + 1, tolerance=0, cache=cache)
+        # m = 9, the shipped cap, takes seconds, so both caps are lowered to 3
+        for kind in ("scalar", "matrix"):
+            monkeypatch.setitem(schema_node(f"roundtrip.{kind}_m_max"), "maximum", 3)
         assert moment_cumulant_roundtrip(semicircular_law(), 3, tolerance=0, cache=cache)
         with pytest.raises(ValueError, match="m <= 3"):
             moment_cumulant_roundtrip(object(), 4, tolerance=0, cache=cache)

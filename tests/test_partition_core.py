@@ -31,7 +31,7 @@ from qspread.partitions import (
     meet,
     mobius_column_oracle,
 )
-from qspread.suites import NC_M_CAPS
+from qspread.reports import budget
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -244,7 +244,8 @@ class TestTablesAgainstScans:
         with pytest.raises(ValueError):
             cache.order(ORDER_M_MAX + 1)
         assert ORDER_M_MAX + 1 not in cache._order
-        assert max(NC_M_CAPS.values()) <= ORDER_M_MAX
+        assert max(budget(f"nc.{key}")
+                   for key in ("mobius_m_max", "zeta_m_max", "column_m_max")) <= ORDER_M_MAX
 
 
 def recursive_mobius(s: Partition, p: Partition, cache: MobiusCache, memo: dict) -> int:
