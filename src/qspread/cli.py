@@ -43,13 +43,23 @@ REP_FILE_BYTES_MAX = 4 * 2**20
 REP_SCHEMA = json.loads(Path(__file__).with_name("representation.schema.json").read_bytes())
 
 
+def unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of both documents: ValueError names a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r} in one JSON object")
+        out[key] = value
+    return out
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         path = os.environ.get(CONFIG_ENV_VAR)
     overrides = {}
     if path:
         with open(path, "r", encoding="utf-8") as handle:
-            overrides = json.load(handle)
+            overrides = json.load(handle, object_pairs_hook=unique_keys)
     return merge_config(overrides)
 
 
@@ -58,7 +68,7 @@ def rep_from_json(text: str) -> Representation:
     what the schema cannot state, generator keys 'i,j' in plain decimal inside
     1..n x 1..k, and ``Representation``'s checks.  Raises ValueError naming the
     first problem."""
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=unique_keys)
     if not isinstance(data, dict):
         raise ValueError("a representation document must be a JSON object")
     check_schema(REP_SCHEMA, data, "")

@@ -4,9 +4,9 @@ Matrices are plain numpy arrays.  The float backend uses ``complex128``; the
 exact backend uses ``dtype=object`` arrays of Python ints and
 ``fractions.Fraction`` (all the arithmetic we need -- matmul, kron,
 conjugation, partial traces -- works elementwise on them).  Ints embed in the
-rationals, so 0/1 families and the exact units stay ints, and a Fraction
-appears only where the data has a denominator.  Exact entries are scaled by
-``Fraction(1, n)``, never divided with ``/``, which would give a float.
+rationals, so 0/1 families, the exact units and zero residuals stay ints, and
+a Fraction appears only where the data has a denominator.  Exact entries are
+scaled by ``Fraction(1, n)``, never divided with ``/`` (that gives a float).
 
 The ambient algebra is the full (d*D) x (d*D) matrix algebra; the
 distinguished subalgebra B is the d x d matrices embedded as b -> b (x) 1_D,
@@ -19,9 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-
-EXACT_ZERO_RESIDUAL = Fraction(0)
 
 
 def is_exact(a: np.ndarray) -> bool:
@@ -52,12 +49,11 @@ def residual_norm(a: np.ndarray):
     The spectral norm is unitarily invariant, so representation checks give
     the same residual after conjugating a family by a fixed unitary.  On the
     exact backend the value is an int or a Fraction, only ever compared
-    against 0.  A zero defect, the common case, returns at once: the shared
-    ``EXACT_ZERO_RESIDUAL``, or 0.0 without an SVD (a NaN entry is truthy, so
-    it still reaches the norm).
+    against 0.  A zero defect, the common case, returns the int 0 or 0.0 at
+    once, without an SVD (a NaN entry is truthy, so it reaches the norm).
     """
     if is_exact(a):
-        return max(abs(x) for x in a.flat) if any(a.flat) else EXACT_ZERO_RESIDUAL
+        return max(abs(x) for x in a.flat) if any(a.flat) else 0
     if not a.any():
         return 0.0
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
@@ -67,7 +63,7 @@ def residual_norms(stack: np.ndarray) -> list:
     """``residual_norm`` of each matrix of an (N, d, d) stack, by its rules,
     batched: only the nonzero defects reach the max-abs or the SVD."""
     exact, nonzero = is_exact(stack), (stack != 0).any(axis=(1, 2))
-    out = np.full(len(stack), EXACT_ZERO_RESIDUAL if exact else 0.0, dtype=object)
+    out = np.full(len(stack), 0 if exact else 0.0, dtype=object)
     defects = stack[nonzero]
     out[nonzero] = (np.abs(defects).max(axis=(1, 2)) if exact else
                     np.linalg.svd(defects.astype(complex), compute_uv=False).max(axis=1))

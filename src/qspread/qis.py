@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    EXACT_ZERO_RESIDUAL,
     is_exact,
     projection_pair,
     random_pvm,
@@ -119,22 +118,6 @@ class Representation:
             else np.zeros((self.dim, self.dim), dtype=complex)
         )
 
-    def nonzero_mask(self) -> dict | None:
-        """(i,j) -> generator is not the exact zero matrix; None on the float
-        backend, where skipping terms would not be sound.
-
-        Only the relation checks read it, to drop the products that vanish
-        identically (zero generators are stored explicitly, so this prunes a
-        lot on classical and banded families).
-        """
-        if not self.exact:
-            return None
-        mask = getattr(self, "_nonzero_mask", None)
-        if mask is None:
-            mask = {key: any(x != 0 for x in g.flat) for key, g in self.gens.items()}
-            object.__setattr__(self, "_nonzero_mask", mask)
-        return mask
-
 
 def classical_point_rep(l: IncreasingSequence) -> Representation:
     """Exact 1x1 representation: each generator is the coordinate at l."""
@@ -189,10 +172,9 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
     keys, defining) that ``products`` yields tracks the norm of the product
     of the generators at ``keys``, as a defining or a derived residual.
 
-    On the exact backend a product with an exactly zero factor (see
-    ``Representation.nonzero_mask``) is the exact zero: its case gets the
-    shared exact zero that ``residual_norm`` returns for a zero defect, with
-    no product formed and no maximum updated (it cannot raise one)."""
+    A product with an exactly zero factor is the zero matrix on either backend,
+    so its case gets the int 0 with no product formed (a non-finite factor is
+    never skipped, and its own projection case has already failed or raised)."""
     tracker = ResidualTracker(name, DEFAULT_REP_TOLERANCE if tolerance is None else tolerance,
                               params=params, seed=rep.seed if seed is None else seed)
     worst = {True: 0, False: 0}  # defining, derived
@@ -208,10 +190,10 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
             r_sum = residual_norm(sum((rep.gen(*key) for key in terms), rep.zero()) - rep.unit())
             tracker.add(label, r_sum)
             worst[True] = max(worst[True], r_sum)
-    mask = rep.nonzero_mask()
+    nonzero = {key: g.any() for key, g in rep.gens.items()}
     for label, terms, defining in products:
-        if mask is not None and not all(mask[key] for key in terms):
-            tracker.add(label, EXACT_ZERO_RESIDUAL)
+        if not all(nonzero[key] for key in terms):
+            tracker.add(label, 0)
             continue
         r = residual_norm(functools.reduce(operator.matmul, (rep.gen(*key) for key in terms)))
         tracker.add(label, r)

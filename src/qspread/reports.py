@@ -96,8 +96,7 @@ class ResidualTracker:
             # a NaN compares false with everything, so the max below drops it
             if self.nonfinite is None and not math.isfinite(residual):
                 self.nonfinite = (witness, residual)
-        # an identical object (the shared exact zero) is never larger
-        if self.worst is None or (residual is not self.worst and residual > self.worst):
+        if self.worst is None or residual > self.worst:
             self.worst = residual
             self.worst_witness = witness
 

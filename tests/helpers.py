@@ -1,9 +1,11 @@
 """Helpers that only the tests need: the inverse of ``cli.rep_from_json``,
 the convolution of two permutation-kind families (the executable
 comultiplication), the composition of permutations that it stands for, and
-``_fold``, the kernel-constrained sum at one target tuple, which skips the
-rows where a generator is exactly zero: the differential oracle of
-``invariance._stack``."""
+two differential oracles.  ``_fold``, the kernel-constrained sum at one target
+tuple, skips the rows where a generator is exactly zero on the exact backend
+only: the oracle of ``invariance._stack``.  ``every_product_relations_report``
+forms every product of a relation check, on both backends: the oracle of
+``qis._relations_report``, which skips the products with a zero factor."""
 from __future__ import annotations
 
 import functools
@@ -12,7 +14,9 @@ import operator
 
 import numpy as np
 
-from qspread.qis import Representation
+from qspread.linalg import dagger, residual_norm
+from qspread.qis import DEFAULT_REP_TOLERANCE, Representation
+from qspread.reports import ResidualTracker
 
 
 def rep_to_json_dict(rep: Representation) -> dict:
@@ -69,10 +73,10 @@ def convolution(rep_u: Representation, rep_v: Representation) -> Representation:
 
 def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
     """column j -> the rows i whose generator u_{ij} is not the exact zero
-    (every row on the float backend, where skipping would not be sound)."""
-    mask = rep.nonzero_mask()
+    (every row on the float backend: ``invariance._stack`` skips none, and a
+    float skip could turn a -0.0 sum into +0.0)."""
     return {
-        j: tuple(i for i in range(1, rep.n + 1) if mask is None or mask[(i, j)])
+        j: tuple(i for i in range(1, rep.n + 1) if not rep.exact or rep.gen(i, j).any())
         for j in range(1, rep.k + 1)
     }
 
@@ -119,3 +123,31 @@ def _block_sum(gens: dict, block, word, targets, rows_for: dict, memo: dict):
         functools.reduce(operator.matmul, [f if isinstance(f, np.ndarray) else gens[(v, f)]
                                            for f in factors])
         for v in rows))
+
+
+def every_product_relations_report(rep: Representation, name: str, tolerance, seed,
+                                   params: dict, groups, products):
+    """``qis._relations_report`` with no product skipped: every product, a
+    zero factor or not, goes through ``residual_norm``, with the same cases
+    in the same order."""
+    tracker = ResidualTracker(name, DEFAULT_REP_TOLERANCE if tolerance is None else tolerance,
+                              params=params, seed=rep.seed if seed is None else seed)
+    worst = {True: 0, False: 0}  # defining, derived
+    for keys, sums in groups:
+        for i, j in keys:
+            g = rep.gen(i, j)
+            r_proj = residual_norm(g @ g - g)
+            r_adj = residual_norm(dagger(g) - g)
+            tracker.add(("projection", i, j), r_proj)
+            tracker.add(("self-adjoint", i, j), r_adj)
+            worst[True] = max(worst[True], r_proj, r_adj)
+        for label, terms in sums:
+            r_sum = residual_norm(sum((rep.gen(*key) for key in terms), rep.zero()) - rep.unit())
+            tracker.add(label, r_sum)
+            worst[True] = max(worst[True], r_sum)
+    for label, terms, defining in products:
+        r = residual_norm(functools.reduce(operator.matmul, (rep.gen(*key) for key in terms)))
+        tracker.add(label, r)
+        worst[defining] = max(worst[defining], r)
+    return tracker.report(extra_params={"defining_residual": float(worst[True]),
+                                        "derived_residual": float(worst[False])})

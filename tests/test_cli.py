@@ -582,6 +582,14 @@ class TestMalformedRepFile:
         assert err == (f"error: generator key {alias!r} is not 'i,j' in plain decimal "
                        "inside 1..2 x 1..2\n"), err
 
+    def test_repeated_generator_key_is_2(self, tmp_path, capsys):
+        # raw text: a dict cannot hold the key twice; json alone would keep [[1]]
+        path = tmp_path / "rep.json"
+        path.write_text('{"kind": "permutation", "k": 1, "n": 1, "dim": 1, '
+                        '"gens": {"1,1": [[[5, 0]]], "1,1": [[[1, 0]]]}}')
+        assert main(["qperm", "magic", "--rep", str(path)]) == 2
+        assert capsys.readouterr().err == "error: repeated key '1,1' in one JSON object\n"
+
     def test_generator_key_outside_family_is_2(self, tmp_path, capsys):
         document = copy.deepcopy(IDENTITY_REP)
         document["gens"]["3,7"] = document["gens"]["1,1"]
@@ -702,6 +710,26 @@ class TestConfigValidation:
         for overrides, path in WRONG_TYPES:
             code, out = self.run_config(tmp_path, capsys, overrides)
             assert code == 2 and path in out.err, overrides
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "nc": {"m_max": 3}, "seed": 2}', "seed"),
+        ('{"nc": {"m_max": 100, "m_max": 3}}', "m_max"),
+    ], ids=["top-level", "nested"])
+    @pytest.mark.parametrize("through_env", [False, True], ids=["flag", "env"])
+    def test_repeated_key_is_2_and_named(self, tmp_path, capsys, monkeypatch, text, key,
+                                         through_env):
+        # raw text: a dict cannot hold the key twice; json alone keeps the last
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        argv = ["nc", "enumerate"]
+        if through_env:
+            monkeypatch.setenv("QSPREAD_CONFIG", str(path))
+        else:
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: cannot load config: repeated key {key!r} in one JSON object\n"
 
     def test_non_object_document_is_2(self, tmp_path, capsys):
         for document in ([1, 2], [], 0):

@@ -65,11 +65,10 @@ def projection_perm_rep(theta=0.8):
 def enumerated_kernel_sum(rep, part, targets):
     """Brute-force oracle for kernel_constrained_sum: one product for every
     blockwise-constant row tuple, leaving out only the tuples with an exactly
-    zero factor.  Valid for crossing partitions too."""
-    mask = rep.nonzero_mask()
+    zero factor on the exact backend.  Valid for crossing partitions too."""
+    nonzero = {key: not rep.exact or g.any() for key, g in rep.gens.items()}
     choices = [
-        [v for v in range(1, rep.n + 1)
-         if mask is None or all(mask[(v, targets[p - 1])] for p in block)]
+        [v for v in range(1, rep.n + 1) if all(nonzero[(v, targets[p - 1])] for p in block)]
         for block in part.blocks
     ]
     total = rep.zero()

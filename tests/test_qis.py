@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qspread import qis
+from qspread import qis, qperm
 from qspread.qis import (
     IncreasingSequence,
     Representation,
@@ -25,7 +25,7 @@ from qspread.linalg import residual_norm
 from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO
 
-from helpers import rep_to_json
+from helpers import every_product_relations_report, rep_to_json
 
 
 class TestIncreasingSequences:
@@ -224,21 +224,21 @@ def report_stream(report) -> dict:
 
 
 class TestRelationsSkipZeroProducts:
-    """The relation checks leave out the products with an exactly zero
-    factor; without the mask (every product formed) the reports must be the
-    same, failing ones included."""
+    """The relation checks mask out the products with an exactly zero factor,
+    on both backends; the reports and their case counts must equal those of
+    ``every_product_relations_report``, which has no mask and forms every
+    product, failing and raising families included."""
 
     @staticmethod
-    def with_one_at(rep, key):
-        """``rep`` with the generator at ``key`` set to 1: relations that
-        held exactly now fail on products whose other factors are nonzero."""
-        one = np.array([[1]], dtype=object)
-        return dataclasses.replace(rep, gens={**rep.gens, key: one})
+    def with_gen(rep, key, g):
+        """``rep`` with the generator at ``key`` replaced by ``g``."""
+        return dataclasses.replace(rep, gens={**rep.gens, key: g})
 
     def cases(self):
-        yield check_magic_unitary, self.with_one_at(permutation_rep((1, 2, 3)), (1, 2))
+        one = np.array([[1]], dtype=object)
+        yield check_magic_unitary, self.with_gen(permutation_rep((1, 2, 3)), (1, 2), one)
         yield (check_increasing_relations,
-               self.with_one_at(classical_point_rep(IncreasingSequence(2, 4, (1, 3))), (2, 2)))
+               self.with_gen(classical_point_rep(IncreasingSequence(2, 4, (1, 3))), (2, 2), one))
         for n in range(1, 6):
             for k in range(1, n + 1):
                 for l in enumerate_increasing(k, n):
@@ -248,22 +248,50 @@ class TestRelationsSkipZeroProducts:
             for perm in itertools.permutations(range(1, n + 1)):
                 yield check_magic_unitary, permutation_rep(perm)
 
-    def test_reports_equal_those_without_the_mask(self, monkeypatch):
-        cases = list(self.cases())
-        skipped = [report_stream(check(rep, tolerance=0)) for check, rep in cases]
-        monkeypatch.setattr(Representation, "nonzero_mask", lambda self: None)
-        formed = [report_stream(check(rep, tolerance=0)) for check, rep in cases]
-        assert skipped == formed
-        assert [s["status"] for s in skipped[:2]] == ["fail", "fail"]
-        assert all(s["max_residual"] == EXACT_ZERO for s in skipped[2:])
+    def float_cases(self):
+        rep = two_projection_rep(0.7)
+        nan = np.zeros((2, 2), dtype=complex)
+        nan[0, 1] = np.nan
+        yield check_increasing_relations, rep
+        yield check_magic_unitary, quantum_extension(rep)
+        yield check_increasing_relations, build_block_rep(2, 2, 3, seed=20260810)
+        # a nonzero generator where a zero belongs: it fails, and the zero
+        # generators of the other column still skip their products with it
+        yield check_increasing_relations, self.with_gen(rep, (3, 1), rep.gen(1, 1))
+        yield check_increasing_relations, self.with_gen(rep, (4, 1), nan)
+        yield check_magic_unitary, self.with_gen(quantum_extension(rep), (2, 3), nan)
 
-    def test_float_rep_forms_every_product(self, monkeypatch):
-        # the float two-projection family stores exact zero matrices, yet
-        # without a mask every case still goes through residual_norm
-        for check, rep in ((check_increasing_relations, two_projection_rep(0.7)),
-                           (check_magic_unitary, quantum_extension(two_projection_rep(0.7)))):
-            assert rep.nonzero_mask() is None
-            assert count_calls(monkeypatch, check, rep) == count_cases(monkeypatch, check, rep)
+    @staticmethod
+    def outcome(monkeypatch, check, rep, tolerance):
+        """(report stream, cases) of one check, or the exception it raised."""
+        try:
+            report = check(rep, tolerance=tolerance)
+        except np.linalg.LinAlgError as exc:
+            return type(exc)
+        return report_stream(report), count_cases(monkeypatch, check, rep, tolerance)
+
+    def outcomes(self, monkeypatch):
+        return ([self.outcome(monkeypatch, check, rep, 0) for check, rep in self.cases()]
+                + [self.outcome(monkeypatch, check, rep, None)
+                   for check, rep in self.float_cases()])
+
+    def test_reports_equal_those_without_the_mask(self, monkeypatch):
+        skipped = self.outcomes(monkeypatch)
+        monkeypatch.setattr(qis, "_relations_report", every_product_relations_report)
+        monkeypatch.setattr(qperm, "_relations_report", every_product_relations_report)
+        formed = self.outcomes(monkeypatch)
+        assert skipped == formed
+        assert [s[0]["status"] for s in skipped[:2]] == ["fail", "fail"]
+        exact, floats = skipped[2:-6], skipped[-6:]
+        assert all(s[0]["max_residual"] == EXACT_ZERO for s in exact)
+        assert [s[0]["status"] for s in floats[:4]] == ["pass", "pass", "pass", "fail"]
+        assert floats[4:] == [np.linalg.LinAlgError] * 2
+
+    def test_float_reps_skip_zero_products(self, monkeypatch):
+        # the float families store exact zero matrices, and the products
+        # with one of them as a factor never reach residual_norm
+        for check, rep in list(self.float_cases())[:4]:
+            assert count_calls(monkeypatch, check, rep) < count_cases(monkeypatch, check, rep)
 
     def test_exact_rep_skips_zero_products(self, monkeypatch):
         rep = permutation_rep((2, 1, 3, 4))
@@ -280,14 +308,14 @@ def count_calls(monkeypatch, check, rep) -> int:
     return len(calls)
 
 
-def count_cases(monkeypatch, check, rep) -> int:
+def count_cases(monkeypatch, check, rep, tolerance=None) -> int:
     """The tracker cases of one relation check."""
     cases = []
     add = qis.ResidualTracker.add
     with monkeypatch.context() as patch:
         patch.setattr(qis.ResidualTracker, "add",
                       lambda self, w, r: cases.append(w) or add(self, w, r))
-        check(rep)
+        check(rep, tolerance=tolerance)
     return len(cases)
 
 
