@@ -162,14 +162,6 @@ def _kernel_classes(m: int, n: int) -> list:
             for sigma in parts]
 
 
-def _total(terms):
-    """The sum of ``terms``, or None when there are none."""
-    total = None
-    for term in terms:
-        total = term if total is None else total + term
-    return total
-
-
 def _products(rep: Representation, part: Partition, targets):
     """(rows, u_{rows_1 j_1} ... u_{rows_m j_m}) for every row tuple that is
     constant on each block of ``part``, in lexicographic order."""
@@ -180,8 +172,8 @@ def _products(rep: Representation, part: Partition, targets):
 
 def _lhs(seq, rep: Representation, word: Word, value, combine, memo: dict):
     """The left-hand side of the invariance equation: the sum over i in [n]^m
-    of combine(value(word at i), u_{i_1 j_1} ... u_{i_m j_m}), or None when
-    every kernel class has g exactly zero.
+    of combine(value(word at i), u_{i_1 j_1} ... u_{i_m j_m}), the int 0
+    when every kernel class has g exactly zero.
 
     When ``seq`` is kernel-invariant, f(i) = value(word at i) depends only on
     ker(i), and the sum runs over the kernel classes sigma instead, as
@@ -196,8 +188,8 @@ def _lhs(seq, rep: Representation, word: Word, value, combine, memo: dict):
     """
     targets, m = word.indices, word.length
     if not getattr(seq, "kernel_invariant", False):
-        return _total(combine(value(word.with_indices(rows)), product) for rows, product
-                      in _products(rep, Partition.singletons(m), targets))
+        return sum(combine(value(word.with_indices(rows)), product) for rows, product
+                   in _products(rep, Partition.singletons(m), targets))
     key = (word.powers, id(word.inserts))
     if key not in memo["g"]:
         if m not in memo["classes"]:
@@ -207,9 +199,9 @@ def _lhs(seq, rep: Representation, word: Word, value, combine, memo: dict):
             (sigma, plan, g) for sigma, _, terms, plan in memo["classes"][m]
             if np.any(g := sum(mu * f[a] for a, mu in terms))
         ]
-    return _total(combine(g, _stack(memo["rows"], plan, targets, memo["stack"]) if plan
-                          else _total(p for _, p in _products(rep, sigma, targets)))
-                  for sigma, plan, g in memo["g"][key])
+    return sum(combine(g, _stack(memo["rows"], plan, targets, memo["stack"]) if plan
+                       else sum(p for _, p in _products(rep, sigma, targets)))
+               for sigma, plan, g in memo["g"][key])
 
 
 def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, seed,
@@ -235,7 +227,7 @@ def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, see
         lhs = _lhs(seq, rep, word, value, combine, memo)
         rhs = combine(value(word), one)
         tracker.add(("word", list(word.indices), list(word.powers)),
-                    residual(-rhs if lhs is None else lhs - rhs))
+                    residual(lhs - rhs))
     return tracker
 
 

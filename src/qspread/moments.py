@@ -32,7 +32,7 @@ from .linalg import (
     random_rational_symmetric,
     residual_norm,
 )
-from .partitions import MobiusCache, Partition, kernel, nesting_plan
+from .partitions import MobiusCache, Partition, catalan, kernel, nesting_plan
 from .reports import budget, require_within
 
 CATALAN_CAP = 64
@@ -123,7 +123,7 @@ def semicircular_law() -> ScalarLaw:
         if p % 2:
             moments.append(Fraction(0))
         else:
-            moments.append(Fraction(math.comb(p, p // 2), p // 2 + 1))
+            moments.append(Fraction(catalan(p // 2)))
     return ScalarLaw(moments)
 
 
@@ -326,6 +326,9 @@ class IndependentSequence:
         for i, deg in degrees.items():
             if i not in self.laws:
                 raise ValueError(f"no moment list for index {i}")
+            if deg >= len(self.laws[i]):
+                raise ValueError(f"moment list for index {i} knows moments up to order "
+                                 f"{len(self.laws[i]) - 1}, needs {deg}")
             value = value * self.laws[i][deg]
         return value
 

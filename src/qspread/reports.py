@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,30 +42,26 @@ class CheckReport:
         return self
 
     def to_json_dict(self) -> dict:
-        """The report as plain JSON values; a NaN or infinite float anywhere
-        in it becomes the string "nan", "inf" or "-inf"."""
-        return _finite_json({
-            "check_name": self.check_name,
-            "params": self.params,
-            "status": self.status,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-            "seed": self.seed,
-            "runtime_ms": self.runtime_ms,
-        })
+        """The report as plain JSON values, through ``_jsonable``."""
+        return _jsonable(asdict(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, allow_nan=False)
 
 
-def _finite_json(value):
+def _jsonable(value):
+    """``value`` in strict JSON, dicts and lists walked through: a NaN or
+    infinite float as "nan", "inf" or "-inf", a Fraction as its string, and
+    anything but None, bool, int, float and str as its repr."""
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-    if isinstance(value, dict):
-        return {key: _finite_json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_json(v) for v in value]
-    return value
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value) if isinstance(value, Fraction) else repr(value)
 
 
 class ResidualTracker:
@@ -139,22 +135,10 @@ class ResidualTracker:
             params=params,
             status="pass" if ok else "fail",
             max_residual=residual_out,
-            witness=None if ok else _as_jsonable(witness),
+            witness=None if ok else _jsonable(witness),
             seed=self.seed,
             runtime_ms=runtime_ms,
         )
-
-
-def _as_jsonable(witness):
-    if witness is None:
-        return None
-    if isinstance(witness, (list, tuple)):
-        return [_as_jsonable(w) for w in witness]
-    if isinstance(witness, Fraction):
-        return str(witness)
-    if isinstance(witness, (int, float, str, bool)):
-        return witness
-    return repr(witness)
 
 
 def budget(key: str) -> int:

@@ -21,8 +21,8 @@ evidence, where eigenvalues of a Gram matrix are examined.  Each route sums
 integers and divides by n^m once: a closed-form term 1/n^{|sigma|} has
 |sigma| <= m, and an oracle term is a product of block cumulants whose block
 sizes add up to m, each cumulant times n^{size} being an integer.  Memos live
-in the ``MobiusCache`` passed in, keyed by RGS.  The reconstruction sum
-synthesizes each free moment once per kernel of the shifted index tuple.
+in the ``MobiusCache`` passed in, keyed by RGS.  The reconstruction and its
+unit identity sum over the kernels of the band tuples, not the tuples.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import Word, free_iid_moment
+from .moments import FreeSequence, Word
 from .partitions import (
     MobiusCache,
     OrderError,
@@ -131,31 +131,36 @@ def reconstruction_weight(
     return hit
 
 
+def _band_weights(cols: tuple[int, ...], tau: Partition, n: int, cache: MobiusCache):
+    """(band, weight) per kernel rho, with at most n blocks, of the assignments
+    of {1..n} to the blocks of tau: the band assigning rho's RGS from 1, and its
+    reconstruction weight times the n (n-1) ... (n-|rho|+1) bands of kernel rho."""
+    for rho in enumerate_all(tau.size()):
+        count = math.perm(n, rho.size())
+        if count:
+            band = tuple(rho.rgs[label] + 1 for label in tau.rgs)
+            yield band, count * reconstruction_weight(cols, band, n, cache)
+
+
 def finite_n_reconstruction(law, word: Word, n: int, cache: MobiusCache):
     """Average the free joint moments over all band replacements, weighted by
     reconstruction_weight.
 
     For the free model this reproduces the original moment exactly at every
-    finite n; no limit is involved.  Exact backend only.  The free moment of
-    a shifted word depends only on the kernel of its indices (the inserts and
-    powers are the word's own), so it is synthesized once per kernel.
+    finite n; no limit is involved.  Exact backend only.  The weight and the
+    free moment of the shifted word (kernel: ker(cols) meet ker(band)) depend
+    on a band only through its kernel, so the sum runs over ``_band_weights``.
     """
     if not getattr(law, "exact", False):
         raise ValueError("reconstruction check runs on the exact backend only")
     if n < 1:
         raise ValueError("n must be >= 1")
-    cols = word.indices
+    cols, seq = word.indices, FreeSequence(law, cache)
     total = law.zero()
-    moments: dict = {}  # kernel RGS of the shifted indices -> free moment
-    for band in itertools.product(range(1, n + 1), repeat=word.length):
-        weight = reconstruction_weight(cols, band, n, cache)
-        if weight == 0:
-            continue
-        shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))
-        key = kernel_rgs(shifted)
-        if key not in moments:
-            moments[key] = free_iid_moment(law, word.with_indices(shifted), cache)
-        total = total + moments[key] * weight
+    for band, weight in _band_weights(cols, Partition.singletons(word.length), n, cache):
+        if weight:
+            shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))
+            total = total + seq.moment(word.with_indices(shifted)) * weight
     return total
 
 
@@ -167,21 +172,13 @@ def combinatorial_unit_identity(
     This is the scalar identity that makes the reconstruction exact; the
     contract is that it always equals 1 on its domain (tau non-crossing and
     below the kernel of the columns).  A band tuple assigns one value in
-    {1..n} to each block of tau, and its weight depends only on the kernel
-    rho of that assignment, a partition of the blocks; so the sum runs over
-    rho in P(|tau|), each weight counted n (n-1) ... (n-|rho|+1) times.
+    {1..n} to each block of tau; the sum runs over their kernels.
     """
     if not tau.is_noncrossing():
         raise OrderError(f"{tau!r} is crossing")
     if not leq(tau, kernel(cols)):
         raise OrderError(f"{tau!r} is not below the kernel of {cols}")
-    total = Fraction(0)
-    for rho in enumerate_all(tau.size()):
-        count = math.perm(n, rho.size())  # 0 when rho has more than n blocks
-        if count:
-            band = tuple(rho.rgs[label] + 1 for label in tau.rgs)
-            total += count * reconstruction_weight(cols, band, n, cache)
-    return total
+    return sum((weight for _, weight in _band_weights(cols, tau, n, cache)), Fraction(0))
 
 
 def oracle_equivalence_sweep(

@@ -1136,6 +1136,16 @@ class TestNumericalFailures:
         assert report["check_name"] == "psi_suite" and report["status"] == "error"
         assert "did not converge" in report["params"]["error"]
 
+    def test_short_independent_moment_list_names_its_index(self, tmp_path, capsys):
+        # the default words reach order 3; a list up to order 2 is too short
+        path = write_config(tmp_path, {"law": {"kind": "independent",
+                                               "moments": {"1": [1, 0, 1], "2": [1, 0, 1]}}})
+        assert main(["inv", "exchangeable", "--config", path]) == 1
+        (report,) = read_reports(capsys)
+        assert report["check_name"] == "exchangeable_suite" and report["status"] == "error"
+        assert report["params"]["error"] == (
+            "moment list for index 1 knows moments up to order 2, needs 3")
+
 
 class TestConfigEnvVar:
     def test_env_var_supplies_default(self, tmp_path, capsys, monkeypatch):

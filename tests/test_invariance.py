@@ -112,7 +112,7 @@ def engine_defects(seq, rep, words, bvalued=False):
     for word in words:
         got = _lhs(seq, rep, word, value, combine, memo)
         want = tuple_sum_lhs(seq, rep, word, value, combine)
-        yield word, -want if got is None else got - want
+        yield word, got - want
 
 
 def bernoulli_iid(n=4):
@@ -430,6 +430,16 @@ class TestExchangeable:
             report = check_exchangeable(seq, permutation_rep(tuple(perm)), words, tolerance=0)
             assert report.passed
             assert report.max_residual == EXACT_ZERO
+
+    def test_all_zero_g_gives_the_int_zero(self):
+        # E[x_1] = 0 for the semicircular law, so the one kernel class of a
+        # single letter has g exactly zero and no term is summed
+        seq = FreeSequence(semicircular_law(), CACHE)
+        rep, word = permutation_rep((2, 1)), Word.plain(seq.law, (1,))
+        lhs = _lhs(seq, rep, word, seq.phi_moment, operator.mul, engine_memo(rep))
+        assert lhs == 0 and type(lhs) is int
+        report = check_exchangeable(seq, rep, [word], tolerance=0)
+        assert report.passed and report.max_residual == EXACT_ZERO
 
     def test_free_semicircular_passes_projection_rep(self):
         seq = FreeSequence(semicircular_law(), CACHE)

@@ -392,3 +392,12 @@ class TestSequenceModels:
         a = seq.moment(Word.plain(law, (1,)))
         b = seq.moment(Word.plain(law, (2,)))
         assert a != b
+
+    def test_independent_sequence_short_list_names_the_orders(self):
+        seq = IndependentSequence({1: [1, 0, 1], 2: [1, 0, 1, 0]})
+        law = ScalarLaw([Fraction(1), Fraction(0)])
+        assert seq.moment(Word.plain(law, (2, 2, 2))) == 0
+        with pytest.raises(ValueError, match="index 1 knows moments up to order 2, needs 3"):
+            seq.moment(Word.plain(law, (1, 1, 1)))
+        with pytest.raises(ValueError, match="index 2 knows moments up to order 3, needs 4"):
+            seq.moment(Word.plain(law, (2, 2), powers=(3, 1)))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -118,3 +119,16 @@ class TestStrictJson:
         parsed = strict_json(report.to_json())
         jsonschema.validate(parsed, self.SCHEMA)
         assert parsed["max_residual"] == 1e-12 and parsed["witness"] is None
+
+    def test_params_and_witness_of_any_value_print_strict_json(self):
+        class Shown:
+            def __repr__(self):
+                return "<shown>"
+
+        tracker = ResidualTracker("check", 1e-9, params={"a": (1, Fraction(1, 3)),
+                                                         "b": {"c": math.nan}})
+        tracker.add(("w", (2, 3), Fraction(1, 2), -math.inf, Shown()), 1.0)
+        parsed = strict_json(tracker.report().to_json())
+        jsonschema.validate(parsed, self.SCHEMA)
+        assert parsed["params"] == {"a": [1, "1/3"], "b": {"c": "nan"}, "tolerance": 1e-9}
+        assert parsed["witness"] == ["w", [2, 3], "1/2", "-inf", "<shown>"]

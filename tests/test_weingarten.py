@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qspread.moments import Word, free_iid_moment, random_rational_matrix_law, semicircular_law
-from qspread.partitions import MobiusCache, OrderError, Partition, kernel, leq, meet
+from qspread.partitions import (
+    MobiusCache, OrderError, Partition, kernel, kernel_rgs, leq, meet,
+)
 from qspread.reports import EXACT_ZERO
 from qspread.suites import DEFAULT_CONFIG, _kernel_pattern_tuples
 from qspread.weingarten import (
@@ -35,6 +37,23 @@ def enumerated_unit_sum(tau: Partition, cols, n: int, cache: MobiusCache) -> Fra
             for pos in block:
                 band[pos - 1] = value
         total += reconstruction_weight(cols, tuple(band), n, cache)
+    return total
+
+
+def enumerated_reconstruction(law, word: Word, n: int, cache: MobiusCache):
+    """The reconstruction as it was computed before the sum over band
+    kernels: one reconstruction weight per band tuple, all n^m of them, with
+    the free moment synthesized once per kernel of the shifted indices."""
+    cols, total, moments = word.indices, law.zero(), {}
+    for band in itertools.product(range(1, n + 1), repeat=word.length):
+        weight = reconstruction_weight(cols, band, n, cache)
+        if weight == 0:
+            continue
+        shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))
+        key = kernel_rgs(shifted)
+        if key not in moments:
+            moments[key] = free_iid_moment(law, word.with_indices(shifted), cache)
+        total = total + moments[key] * weight
     return total
 
 
@@ -206,6 +225,38 @@ class TestReconstruction:
         word = Word.plain(law, (1, 2, 2, 1))
         values = {finite_n_reconstruction(law, word, n, CACHE) for n in (1, 2, 3, 4)}
         assert values == {free_iid_moment(law, word, CACHE)}
+
+    @pytest.mark.parametrize("law", [semicircular_law(), random_rational_matrix_law(2, 2, 7)],
+                             ids=["semicircular", "rational_matrix"])
+    def test_band_kernel_sum_equals_the_enumeration(self, law):
+        cache = MobiusCache()
+        words = [Word.plain(law, cols) for m in range(1, 5) for cols in _kernel_pattern_tuples(m)]
+        words.append(Word.plain(law, (1, 2, 1), powers=(2, 1, 1)))
+        for word in words:
+            for n in (1, 2, 3):
+                got = finite_n_reconstruction(law, word, n, cache)
+                want = enumerated_reconstruction(law, word, n, cache)
+                assert np.all(got == want), (word.indices, word.powers, n)
+
+    def test_one_synthesis_per_shifted_kernel_of_nonzero_weight(self, monkeypatch):
+        from qspread import moments
+
+        law, cache, calls = semicircular_law(), MobiusCache(), []
+        monkeypatch.setattr(moments, "free_iid_moment",
+                            lambda law, word, cache: calls.append(word.indices)
+                            or free_iid_moment(law, word, cache))
+        for m in range(1, 5):
+            for cols in _kernel_pattern_tuples(m):
+                for n in (1, 2, 3):
+                    calls.clear()
+                    finite_n_reconstruction(law, Word.plain(law, cols), n, cache)
+                    kernels = {kernel_rgs((j - 1) * n + i for j, i in zip(cols, band))
+                               for band in itertools.product(range(1, n + 1), repeat=m)
+                               if reconstruction_weight(cols, band, n, cache)}
+                    assert sorted(kernel_rgs(c) for c in calls) == sorted(kernels), (cols, n)
+        calls.clear()
+        finite_n_reconstruction(law, Word.plain(law, (1, 2, 3)), 3, cache)
+        assert len(calls) == 1
 
     def test_float_law_rejected(self):
         from qspread.moments import random_matrix_law
