@@ -187,7 +187,7 @@ def _lhs(seq, rep: Representation, word: Word, value, combine, memo: dict):
     classes per length, and the ``_stack`` memo and its column rows.
     """
     targets, m = word.indices, word.length
-    if not getattr(seq, "kernel_invariant", False):
+    if not seq.kernel_invariant:
         return sum(combine(value(word.with_indices(rows)), product) for rows, product
                    in _products(rep, Partition.singletons(m), targets))
     key = (word.powers, id(word.inserts))
@@ -269,8 +269,8 @@ def suite_words(law, max_targets: int, max_len: int):
     """All plain words with indices in [1..max_targets] up to length max_len,
     plus a leading-square power variant of each length.
 
-    Words of equal length share one insert tuple, so sequence models that
-    memoize by (kernel, powers, inserts) reuse values across the suite.
+    Words of equal length share one tuple of ``law.unit()`` (a law or a model),
+    so models memoizing by (kernel, powers, inserts) reuse values across them.
     """
     words = []
     for m in range(1, max_len + 1):

@@ -287,7 +287,11 @@ class FreeSequence:
     def __init__(self, law, cache: MobiusCache):
         self.law = law
         self.cache = cache
+        self.exact = law.exact
         self._memo: dict = {}
+
+    def unit(self):
+        return self.law.unit()
 
     def moment(self, word: Word):
         key = (kernel(word.indices), word.powers, id(word.inserts))
@@ -317,6 +321,10 @@ class IndependentSequence:
             if not ms or ms[0] != 1:
                 raise ValueError(f"moment list for index {i} must start with 1")
         self.kernel_invariant = len({tuple(ms) for ms in self.laws.values()}) == 1
+        self.exact = all(isinstance(v, (int, Fraction)) for ms in self.laws.values() for v in ms)
+
+    def unit(self):
+        return Fraction(1)
 
     def moment(self, word: Word):
         degrees: dict[int, int] = {}

@@ -31,7 +31,6 @@ from .moments import (
     IndependentSequence,
     ScalarLaw,
     Word,
-    free_iid_moment,
     moment_cumulant_roundtrip,
     random_matrix_law,
     random_rational_matrix_law,
@@ -296,7 +295,7 @@ def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
             for s, row in zip(below_p, order[np.ix_(at, at)]):
                 total = sum(cache.mobius(s, below_p[b]) for b in np.flatnonzero(row).tolist())
                 expected = 1 if s == p else 0
-                tracker.add(("pair", m, repr(s), repr(p)), abs(total - expected))
+                tracker.add(("pair", m, s, p), abs(total - expected))
     reports.append(tracker.report())
 
     tracker = ResidualTracker(
@@ -304,7 +303,7 @@ def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     )
     for m in range(1, cfg["zeta_m_max"] + 1):
         for (s, p), value in zeta_inverse_table(m, cache).items():
-            tracker.add(("entry", m, repr(s), repr(p)), abs(value - cache.mobius(s, p)))
+            tracker.add(("entry", m, s, p), abs(value - cache.mobius(s, p)))
     reports.append(tracker.report())
 
     tracker = ResidualTracker(
@@ -475,10 +474,9 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     seq = build_sequence(config["law"], seed + 5, cache)
     reports = []
 
-    scalar_law = seq.law if isinstance(seq, FreeSequence) else semicircular_law()
-    words2 = suite_words(scalar_law, max_targets=2, max_len=cfg["max_word_len"])
+    words2 = suite_words(seq, max_targets=2, max_len=cfg["max_word_len"])
     if cfg["spot_length"] > cfg["max_word_len"]:
-        words2 += spot_words(scalar_law, 2, cfg["spot_length"], seed + 17)
+        words2 += spot_words(seq, 2, cfg["spot_length"], seed + 17)
     rep = two_point_rep(projection_pair(cfg["theta"])[1])
     reports.append(check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
         "exchangeable_projection_rep", theta=cfg["theta"],
@@ -490,7 +488,7 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
                 "law": config["law"]["kind"]},
         seed=seed,
     )
-    words3 = suite_words(scalar_law, max_targets=3, max_len=min(cfg["max_word_len"], 3))
+    words3 = suite_words(seq, max_targets=3, max_len=min(cfg["max_word_len"], 3))
     for perm in itertools.permutations((1, 2, 3)):
         tracker.add_report(("perm", list(perm)), check_exchangeable(
             seq, permutation_rep(perm), words3, tolerance=max(tol, 0), seed=seed))
@@ -498,7 +496,7 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
 
     if cfg["include_extended"]:
         extended = quantum_extension(two_projection_rep(cfg["theta"]))
-        words4 = suite_words(scalar_law, max_targets=4, max_len=cfg["extended_word_len"])
+        words4 = suite_words(seq, max_targets=4, max_len=cfg["extended_word_len"])
         reports.append(check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)
                        .renamed("exchangeable_extended_rep", theta=cfg["theta"]))
 
@@ -515,24 +513,23 @@ def spreadable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     tol = config["tolerances"]["spreadable"]
     seed = config["seed"]
     seq = build_sequence(config["law"], seed + 6, cache)
-    scalar_law = seq.law if isinstance(seq, FreeSequence) else semicircular_law()
     reports = []
 
-    words = suite_words(scalar_law, max_targets=2, max_len=cfg["max_word_len"])
+    words = suite_words(seq, max_targets=2, max_len=cfg["max_word_len"])
     reports.append(check_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
                                     seed=seed)
                    .renamed("spreadable_projection_family", theta=cfg["theta"]))
 
     block = cfg["block"]
     rep = build_block_rep(block["k"], block["n"], block["dim"], seed + 7)
-    words_k = suite_words(scalar_law, max_targets=block["k"],
+    words_k = suite_words(seq, max_targets=block["k"],
                           max_len=min(cfg["max_word_len"], 3))
     reports.append(check_spreadable(seq, rep, words_k, tolerance=tol, seed=seed + 7)
                    .renamed("spreadable_block_family", **block))
 
     pulled = quantum_extension(two_projection_rep(cfg["theta"]))
     reports.append(check_exchangeable(
-        seq, pulled, suite_words(scalar_law, 2, min(cfg["max_word_len"], 3)),
+        seq, pulled, suite_words(seq, 2, min(cfg["max_word_len"], 3)),
         tolerance=tol, seed=seed,
     ).renamed("spreadable_via_extension_pullback", theta=cfg["theta"]))
 
@@ -600,6 +597,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
         ("scalar", semicircular_law()),
         ("matrix", random_rational_matrix_law(2, 2, seed + 10)),
     ):
+        seq = FreeSequence(law, cache)
         tracker = ResidualTracker(
             f"finite_reconstruction_{label}", 0,
             params={"m_max": cfg["m_max"], "n_max": cfg["n_max"], "law": label},
@@ -608,9 +606,9 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
         for m in range(1, cfg["m_max"] + 1):
             for cols in _kernel_pattern_tuples(m):
                 word = Word.plain(law, cols)
-                direct = free_iid_moment(law, word, cache)
+                direct = seq.moment(word)
                 for n in range(1, cfg["n_max"] + 1):
-                    got = finite_n_reconstruction(law, word, n, cache)
+                    got = finite_n_reconstruction(seq, word, n, cache)
                     tracker.add(("reconstruction", list(cols), n), law.residual(got, direct))
         reports.append(tracker.report())
     return reports

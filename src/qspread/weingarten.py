@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import FreeSequence, Word
+from .moments import Word
 from .partitions import (
     MobiusCache,
     OrderError,
@@ -142,21 +142,22 @@ def _band_weights(cols: tuple[int, ...], tau: Partition, n: int, cache: MobiusCa
             yield band, count * reconstruction_weight(cols, band, n, cache)
 
 
-def finite_n_reconstruction(law, word: Word, n: int, cache: MobiusCache):
-    """Average the free joint moments over all band replacements, weighted by
-    reconstruction_weight.
+def finite_n_reconstruction(seq, word: Word, n: int, cache: MobiusCache):
+    """Average the joint moments of the sequence model ``seq`` over all band
+    replacements, weighted by reconstruction_weight.
 
-    For the free model this reproduces the original moment exactly at every
-    finite n; no limit is involved.  Exact backend only.  The weight and the
-    free moment of the shifted word (kernel: ker(cols) meet ker(band)) depend
-    on a band only through its kernel, so the sum runs over ``_band_weights``.
+    For a quantum-spreadable model this gives back the original moment exactly
+    at every finite n.  Exact kernel-invariant models only: the weight and the
+    moment of the shifted word (kernel ker(cols) meet ker(band)) depend on a
+    band only through its kernel, so the sum runs over ``_band_weights``.
     """
-    if not getattr(law, "exact", False):
+    if not seq.exact:
         raise ValueError("reconstruction check runs on the exact backend only")
+    if not seq.kernel_invariant:
+        raise ValueError("reconstruction needs a kernel-invariant sequence model")
     if n < 1:
         raise ValueError("n must be >= 1")
-    cols, seq = word.indices, FreeSequence(law, cache)
-    total = law.zero()
+    cols, total = word.indices, 0
     for band, weight in _band_weights(cols, Partition.singletons(word.length), n, cache):
         if weight:
             shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))

@@ -268,7 +268,7 @@ def test_criterion_10_reconstruction_engine(criterion_log):
                     word = Word.plain(law, cols)
                     direct = free_iid_moment(law, word, CACHE)
                     for n in range(1, 4):
-                        got = finite_n_reconstruction(law, word, n, CACHE)
+                        got = finite_n_reconstruction(FreeSequence(law, CACHE), word, n, CACHE)
                         if isinstance(got, np.ndarray):
                             assert (got == direct).all(), (cols, n)
                         else:

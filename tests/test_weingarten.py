@@ -6,12 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qspread.moments import Word, free_iid_moment, random_rational_matrix_law, semicircular_law
+from qspread.moments import (
+    FreeSequence, IndependentSequence, Word, free_iid_moment, random_rational_matrix_law,
+    semicircular_law,
+)
 from qspread.partitions import (
     MobiusCache, OrderError, Partition, kernel, kernel_rgs, leq, meet,
 )
 from qspread.reports import EXACT_ZERO
-from qspread.suites import DEFAULT_CONFIG, _kernel_pattern_tuples
+from qspread.suites import (
+    DEFAULT_CONFIG, _broken_sequence, _kernel_pattern_tuples, merge_config, run_section,
+)
 from qspread.weingarten import (
     _band_offsets,
     block_state_moment,
@@ -40,11 +45,11 @@ def enumerated_unit_sum(tau: Partition, cols, n: int, cache: MobiusCache) -> Fra
     return total
 
 
-def enumerated_reconstruction(law, word: Word, n: int, cache: MobiusCache):
+def enumerated_reconstruction(seq, word: Word, n: int, cache: MobiusCache):
     """The reconstruction as it was computed before the sum over band
     kernels: one reconstruction weight per band tuple, all n^m of them, with
-    the free moment synthesized once per kernel of the shifted indices."""
-    cols, total, moments = word.indices, law.zero(), {}
+    the model's moment read once per kernel of the shifted indices."""
+    cols, total, moments = word.indices, 0, {}
     for band in itertools.product(range(1, n + 1), repeat=word.length):
         weight = reconstruction_weight(cols, band, n, cache)
         if weight == 0:
@@ -52,9 +57,15 @@ def enumerated_reconstruction(law, word: Word, n: int, cache: MobiusCache):
         shifted = tuple((j - 1) * n + i for j, i in zip(cols, band))
         key = kernel_rgs(shifted)
         if key not in moments:
-            moments[key] = free_iid_moment(law, word.with_indices(shifted), cache)
+            moments[key] = seq.moment(word.with_indices(shifted))
         total = total + moments[key] * weight
     return total
+
+
+def classical_iid(count: int) -> IndependentSequence:
+    """Classically independent standard semicircular variables at indices
+    1..count: exact and kernel-invariant, but not free."""
+    return IndependentSequence({i: semicircular_law().moments for i in range(1, count + 1)})
 
 
 class TestBandOffsets:
@@ -198,9 +209,8 @@ class TestReconstruction:
         law = semicircular_law()
         word = Word.plain(law, (2,), powers=(2,))
         for n in (1, 2, 3):
-            assert finite_n_reconstruction(law, word, n, CACHE) == free_iid_moment(
-                law, word, CACHE
-            )
+            assert finite_n_reconstruction(FreeSequence(law, CACHE), word, n, CACHE) == (
+                free_iid_moment(law, word, CACHE))
 
     def test_alternating_semicircular(self):
         law = semicircular_law()
@@ -208,7 +218,7 @@ class TestReconstruction:
         direct = free_iid_moment(law, word, CACHE)
         assert direct == 0
         for n in (2, 3):
-            assert finite_n_reconstruction(law, word, n, CACHE) == direct
+            assert finite_n_reconstruction(FreeSequence(law, CACHE), word, n, CACHE) == direct
 
     def test_matrix_law_exact(self):
         law = random_rational_matrix_law(2, 2, seed=21)
@@ -217,26 +227,53 @@ class TestReconstruction:
                 word = Word.plain(law, cols)
                 direct = free_iid_moment(law, word, CACHE)
                 for n in (1, 2, 3):
-                    got = finite_n_reconstruction(law, word, n, CACHE)
+                    got = finite_n_reconstruction(FreeSequence(law, CACHE), word, n, CACHE)
                     assert (got == direct).all(), (cols, n)
 
     def test_n_independence(self):
         law = semicircular_law()
         word = Word.plain(law, (1, 2, 2, 1))
-        values = {finite_n_reconstruction(law, word, n, CACHE) for n in (1, 2, 3, 4)}
+        values = {finite_n_reconstruction(FreeSequence(law, CACHE), word, n, CACHE)
+                  for n in (1, 2, 3, 4)}
         assert values == {free_iid_moment(law, word, CACHE)}
 
-    @pytest.mark.parametrize("law", [semicircular_law(), random_rational_matrix_law(2, 2, 7)],
-                             ids=["semicircular", "rational_matrix"])
-    def test_band_kernel_sum_equals_the_enumeration(self, law):
+    @pytest.mark.parametrize("make", [
+        lambda cache: FreeSequence(semicircular_law(), cache),
+        lambda cache: FreeSequence(random_rational_matrix_law(2, 2, 7), cache),
+        lambda cache: classical_iid(12),
+    ], ids=["semicircular", "rational_matrix", "classical"])
+    def test_band_kernel_sum_equals_the_enumeration(self, make):
+        # every column index times n <= 3 stays within the classical model's 12 lists
         cache = MobiusCache()
-        words = [Word.plain(law, cols) for m in range(1, 5) for cols in _kernel_pattern_tuples(m)]
-        words.append(Word.plain(law, (1, 2, 1), powers=(2, 1, 1)))
+        seq = make(cache)
+        words = [Word.plain(seq, cols) for m in range(1, 5) for cols in _kernel_pattern_tuples(m)]
+        words.append(Word.plain(seq, (1, 2, 1), powers=(2, 1, 1)))
         for word in words:
             for n in (1, 2, 3):
-                got = finite_n_reconstruction(law, word, n, cache)
-                want = enumerated_reconstruction(law, word, n, cache)
+                got = finite_n_reconstruction(seq, word, n, cache)
+                want = enumerated_reconstruction(make(cache), word, n, cache)
                 assert np.all(got == want), (word.indices, word.powers, n)
+
+    def test_classical_iid_model_misses_by_a_known_defect(self):
+        # classical i.i.d. semicirculars are kernel-invariant but not free: at
+        # cols (1, 2, 1, 2) their moment is E[x^2]^2 = 1, and the reconstruction
+        # gives (2n - 1) / n^2, where the free model gives its own moment 0
+        expected = [Fraction(3, 4), Fraction(5, 9), Fraction(7, 16), Fraction(9, 25),
+                    Fraction(11, 36)]
+        for n, want in zip(range(2, 7), expected):
+            seq = classical_iid(2 * n)
+            word = Word.plain(seq, (1, 2, 1, 2))
+            assert seq.moment(word) == 1
+            assert finite_n_reconstruction(seq, word, n, CACHE) == want
+            assert want == Fraction(2 * n - 1, n**2)
+            free = FreeSequence(semicircular_law(), CACHE)
+            assert finite_n_reconstruction(free, Word.plain(free, (1, 2, 1, 2)), n, CACHE) == 0
+
+    def test_model_without_kernel_invariance_rejected(self):
+        seq = _broken_sequence(4)
+        assert seq.exact and not seq.kernel_invariant
+        with pytest.raises(ValueError, match="kernel-invariant"):
+            finite_n_reconstruction(seq, Word.plain(seq, (1,)), 2, CACHE)
 
     def test_one_synthesis_per_shifted_kernel_of_nonzero_weight(self, monkeypatch):
         from qspread import moments
@@ -249,21 +286,43 @@ class TestReconstruction:
             for cols in _kernel_pattern_tuples(m):
                 for n in (1, 2, 3):
                     calls.clear()
-                    finite_n_reconstruction(law, Word.plain(law, cols), n, cache)
+                    finite_n_reconstruction(FreeSequence(law, cache), Word.plain(law, cols), n,
+                                            cache)
                     kernels = {kernel_rgs((j - 1) * n + i for j, i in zip(cols, band))
                                for band in itertools.product(range(1, n + 1), repeat=m)
                                if reconstruction_weight(cols, band, n, cache)}
                     assert sorted(kernel_rgs(c) for c in calls) == sorted(kernels), (cols, n)
         calls.clear()
-        finite_n_reconstruction(law, Word.plain(law, (1, 2, 3)), 3, cache)
+        finite_n_reconstruction(FreeSequence(law, cache), Word.plain(law, (1, 2, 3)), 3, cache)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("overrides", [{}, {"reconstruction": {"n_max": 32}}],
+                             ids=["defaults", "n_max_32"])
+    def test_section_synthesizes_each_free_moment_once(self, monkeypatch, overrides):
+        # one model per law keeps each word's moments across n: 16 syntheses at
+        # the defaults (m <= 3, two laws), whatever n_max is
+        from qspread import moments
+
+        calls = []
+
+        def recording(law, word, cache):
+            calls.append((id(law), id(word.inserts), kernel_rgs(word.indices), word.powers))
+            return free_iid_moment(law, word, cache)
+
+        monkeypatch.setattr(moments, "free_iid_moment", recording)
+        reports = run_section("reconstruction", merge_config(overrides), MobiusCache())
+        assert all(r.passed for r in reports)
+        assert len(calls) == 16 and len(set(calls)) == 16
 
     def test_float_law_rejected(self):
         from qspread.moments import random_matrix_law
 
         law = random_matrix_law(2, 2, seed=5)
         with pytest.raises(ValueError, match="exact"):
-            finite_n_reconstruction(law, Word.plain(law, (1,)), 2, CACHE)
+            finite_n_reconstruction(FreeSequence(law, CACHE), Word.plain(law, (1,)), 2, CACHE)
+        seq = IndependentSequence({1: [1, 0.0, 1.0], 2: [1, 0.0, 1.0]})
+        with pytest.raises(ValueError, match="exact"):
+            finite_n_reconstruction(seq, Word.plain(seq, (1,)), 2, CACHE)
 
 
 class TestPositivityEvidence:
