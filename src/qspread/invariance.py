@@ -210,7 +210,7 @@ def _check(name: str, kind: str, seq, rep: Representation, words, tolerance, see
     lhs - combine(value(word), 1), one tracker case per word."""
     if rep.kind != kind:
         what = "exchangeability" if kind == "permutation" else "spreadability"
-        raise ValueError(f"{what} needs a {kind}-kind representation")
+        raise ValueError(f"{what} needs a representation of kind '{kind}'")
     _require_valid(rep, tolerance)
     words = list(words)
     params = {"n": rep.n, "dim": rep.dim, "words": len(words)}

@@ -1,12 +1,13 @@
 """Dense small-matrix helpers over complex floats or exact rationals.
 
-Matrices are plain numpy arrays.  The float backend uses ``complex128``; the
-exact backend uses ``dtype=object`` arrays of Python ints and
-``fractions.Fraction`` (all the arithmetic we need -- matmul, kron,
-conjugation, partial traces -- works elementwise on them).  Ints embed in the
-rationals, so 0/1 families, the exact units and zero residuals stay ints, and
-a Fraction appears only where the data has a denominator.  Exact entries are
-scaled by ``Fraction(1, n)``, never divided with ``/`` (that gives a float).
+Matrices are plain numpy arrays, and their dtype is the only statement of the
+backend (``is_exact`` is its one test): ``complex128`` for floats, or
+``dtype=object`` arrays of Python ints and ``fractions.Fraction`` (matmul,
+kron, conjugation and partial traces work elementwise on them).  Units and
+zeros take the dtype of the arrays beside them.  Ints embed in the rationals,
+so 0/1 families, exact units and zero residuals stay ints; a Fraction appears
+only where the data has a denominator.  Exact entries are scaled by
+``Fraction(1, n)``, never divided with ``/`` (that gives a float).
 
 The ambient algebra is the full (d*D) x (d*D) matrix algebra; the
 distinguished subalgebra B is the d x d matrices embedded as b -> b (x) 1_D,
@@ -24,18 +25,6 @@ import numpy as np
 def is_exact(a: np.ndarray) -> bool:
     """True for the rational (object-dtype) backend."""
     return a.dtype == object
-
-
-def rational_eye(n: int) -> np.ndarray:
-    """Exact identity, of Python ints."""
-    out = rational_zeros(n)
-    np.fill_diagonal(out, 1)
-    return out
-
-
-def rational_zeros(n: int, m: int | None = None) -> np.ndarray:
-    """Exact zero matrix, of Python ints."""
-    return np.zeros((n, m if m is not None else n), dtype=object)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -72,15 +61,11 @@ def residual_norms(stack: np.ndarray) -> list:
 
 @dataclass(frozen=True)
 class BAlgebra:
-    """B = M_d inside the ambient M_{d*D}, with E = id (x) normalized trace.
-
-    ``exact`` selects the rational backend for the units this object hands
-    out; the expectation itself works on whatever backend its argument uses.
-    """
+    """B = M_d inside the ambient M_{d*D}, with E = id (x) normalized trace;
+    B works on the backend of the matrix it is given."""
 
     d: int
     D: int
-    exact: bool = False
 
     def __post_init__(self):
         if self.d < 1 or self.D < 1:
@@ -90,16 +75,11 @@ class BAlgebra:
     def ambient_dim(self) -> int:
         return self.d * self.D
 
-    def unit(self) -> np.ndarray:
-        """The unit of B."""
-        return rational_eye(self.d) if self.exact else np.eye(self.d, dtype=complex)
-
     def embed(self, b: np.ndarray) -> np.ndarray:
         """b -> b (x) 1_D into the ambient algebra."""
         if b.shape != (self.d, self.d):
             raise ValueError(f"expected a {self.d}x{self.d} matrix, got {b.shape}")
-        one = rational_eye(self.D) if is_exact(b) else np.eye(self.D, dtype=complex)
-        return np.kron(b, one)
+        return np.kron(b, np.eye(self.D, dtype=b.dtype))
 
     def expect(self, a: np.ndarray) -> np.ndarray:
         """The conditional expectation onto B: normalized partial trace."""
@@ -163,7 +143,7 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_rational_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of small random Fractions (exact self-adjoint)."""
-    out = rational_zeros(n)
+    out = np.zeros((n, n), dtype=object)
     for i in range(n):
         for j in range(i, n):
             value = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
@@ -173,7 +153,7 @@ def random_rational_symmetric(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_rational_matrix(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    out = rational_zeros(n, m)
+    out = np.zeros((n, m), dtype=object)
     for i in range(n):
         for j in range(m):
             out[i, j] = Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))

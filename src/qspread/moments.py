@@ -27,6 +27,7 @@ import numpy as np
 
 from .linalg import (
     BAlgebra,
+    is_exact,
     random_hermitian,
     random_rational_matrix,
     random_rational_symmetric,
@@ -137,13 +138,13 @@ class MatrixLaw:
             raise ValueError(f"ambient matrix must be {n}x{n}, got {ambient.shape}")
         self.alg = alg
         self.ambient = ambient
-        self.exact = alg.exact
+        self.exact = is_exact(ambient)
 
     def unit(self):
-        return self.alg.unit()
+        return np.eye(self.alg.d, dtype=self.ambient.dtype)
 
     def zero(self):
-        return self.alg.unit() * (Fraction(0) if self.exact else 0.0)
+        return np.zeros_like(self.unit())
 
     def eval(self, inserts: Sequence[np.ndarray]):
         w = self.alg.embed(inserts[0])
@@ -173,7 +174,7 @@ def random_matrix_law(d: int, D: int, seed: int) -> MatrixLaw:
 def random_rational_matrix_law(d: int, D: int, seed: int) -> MatrixLaw:
     """Exact law: seeded random symmetric matrix of small Fractions."""
     rng = np.random.default_rng(seed)
-    return MatrixLaw(BAlgebra(d, D, exact=True), random_rational_symmetric(d * D, rng))
+    return MatrixLaw(BAlgebra(d, D), random_rational_symmetric(d * D, rng))
 
 
 def _bmul(a, b):

@@ -20,11 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    is_exact,
     projection_pair,
     random_pvm,
-    rational_zeros,
-    rational_eye,
     residual_norm,
     dagger,
 )
@@ -104,19 +101,11 @@ class Representation:
     def gen(self, i: int, j: int) -> np.ndarray:
         return self.gens[(i, j)]
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.gens[(1, 1)])
-
     def unit(self) -> np.ndarray:
-        return rational_eye(self.dim) if self.exact else np.eye(self.dim, dtype=complex)
+        return np.eye(self.dim, dtype=self.gens[(1, 1)].dtype)
 
     def zero(self) -> np.ndarray:
-        return (
-            rational_zeros(self.dim)
-            if self.exact
-            else np.zeros((self.dim, self.dim), dtype=complex)
-        )
+        return np.zeros_like(self.gens[(1, 1)])
 
 
 def classical_point_rep(l: IncreasingSequence) -> Representation:

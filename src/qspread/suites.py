@@ -491,7 +491,7 @@ def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     words3 = suite_words(seq, max_targets=3, max_len=min(cfg["max_word_len"], 3))
     for perm in itertools.permutations((1, 2, 3)):
         tracker.add_report(("perm", list(perm)), check_exchangeable(
-            seq, permutation_rep(perm), words3, tolerance=max(tol, 0), seed=seed))
+            seq, permutation_rep(perm), words3, tolerance=tol, seed=seed))
     reports.append(tracker.report())
 
     if cfg["include_extended"]:

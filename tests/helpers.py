@@ -14,7 +14,7 @@ import operator
 
 import numpy as np
 
-from qspread.linalg import dagger, residual_norm
+from qspread.linalg import dagger, is_exact, residual_norm
 from qspread.qis import DEFAULT_REP_TOLERANCE, Representation
 from qspread.reports import ResidualTracker
 
@@ -75,8 +75,9 @@ def _rows_for(rep: Representation) -> dict[int, tuple[int, ...]]:
     """column j -> the rows i whose generator u_{ij} is not the exact zero
     (every row on the float backend: ``invariance._stack`` skips none, and a
     float skip could turn a -0.0 sum into +0.0)."""
+    exact = is_exact(rep.gen(1, 1))
     return {
-        j: tuple(i for i in range(1, rep.n + 1) if not rep.exact or rep.gen(i, j).any())
+        j: tuple(i for i in range(1, rep.n + 1) if not exact or rep.gen(i, j).any())
         for j in range(1, rep.k + 1)
     }
 

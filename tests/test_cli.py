@@ -13,7 +13,7 @@ from qspread import cli, reports, weingarten
 from qspread.cli import REP_FILE_BYTES_MAX, main, rep_from_json
 from qspread.invariance import check_kernel_sums
 from qspread.moments import moment_cumulant_roundtrip, random_matrix_law, semicircular_law
-from qspread.partitions import MobiusCache
+from qspread.partitions import MobiusCache, catalan
 from qspread.qis import (
     INCREASING_N_MAX,
     IncreasingSequence,
@@ -893,6 +893,24 @@ class TestLawAndBlockKeys:
             out = capsys.readouterr()
             assert (f"'{section}.d' and '{section}.D'" in out.err and "work budget" in out.err
                     and out.out == ""), shape
+
+    @pytest.mark.parametrize("section", ["exchangeable", "spreadable"])
+    def test_catalan_scalar_moments_give_the_semicircular_reports(self, section):
+        # the Catalan moments are the semicircular law's, so only the law's
+        # name, in the two reports that carry it, may differ
+        moments = [catalan(p // 2) if p % 2 == 0 else 0 for p in range(17)]
+        named = {"exchangeable_projection_rep", "exchangeable_permutation_reps"}
+        rows = {}
+        for kind, law in (("semicircular", {"kind": "semicircular"}),
+                          ("scalar_moments", {"kind": "scalar_moments", "moments": moments})):
+            rows[kind] = [r.to_json_dict() for r in
+                          run_section(section, merge_config({"law": law}), MobiusCache())]
+            for row in rows[kind]:
+                row.pop("runtime_ms")
+                if row["check_name"] in named:
+                    assert row["params"].pop("law") == kind
+        assert rows["scalar_moments"] == rows["semicircular"] and rows["semicircular"]
+        assert "error" not in {row["status"] for row in rows["semicircular"]}
 
 
 class TestMobiusWorkBudget:

@@ -23,10 +23,10 @@ from qspread.invariance import (
 )
 from qspread.linalg import (
     dagger,
+    is_exact,
     projection_pair,
     random_rational_matrix,
     random_unitary,
-    rational_zeros,
     residual_norm,
 )
 from qspread.moments import (
@@ -66,7 +66,8 @@ def enumerated_kernel_sum(rep, part, targets):
     """Brute-force oracle for kernel_constrained_sum: one product for every
     blockwise-constant row tuple, leaving out only the tuples with an exactly
     zero factor on the exact backend.  Valid for crossing partitions too."""
-    nonzero = {key: not rep.exact or g.any() for key, g in rep.gens.items()}
+    exact = is_exact(rep.gen(1, 1))
+    nonzero = {key: not exact or g.any() for key, g in rep.gens.items()}
     choices = [
         [v for v in range(1, rep.n + 1) if all(nonzero[(v, targets[p - 1])] for p in block)]
         for block in part.blocks
@@ -194,7 +195,7 @@ class TestFoldMatchesEnumeration:
     def unrelated_exact_family() -> Representation:
         rng = np.random.default_rng(5)
         gens = {(i, j): random_rational_matrix(2, 2, rng) for i in range(1, 4) for j in (1, 2)}
-        gens[(2, 1)] = gens[(3, 2)] = rational_zeros(2)
+        gens[(2, 1)] = gens[(3, 2)] = np.zeros((2, 2), dtype=object)
         return Representation(kind="increasing", k=2, n=3, gens=gens, dim=2)
 
     def test_unrelated_exact_family(self):
@@ -260,7 +261,7 @@ class TestSweepMatchesFold:
                     for stacked in (got, one):
                         if want is None:
                             assert not (stacked != 0).any(), (part, targets)
-                        elif rep.exact:
+                        elif is_exact(rep.gen(1, 1)):
                             assert np.array_equal(stacked, want), (part, targets)
                         else:
                             assert stacked.tobytes() == want.tobytes(), (part, targets)

@@ -17,17 +17,18 @@ from qspread.linalg import (
     random_pvm,
     random_rational_symmetric,
     random_unitary,
-    rational_eye,
-    rational_zeros,
     residual_norm,
     residual_norms,
 )
+from qspread.moments import random_matrix_law, random_rational_matrix_law
 from qspread.partitions import MobiusCache
 from qspread.qis import (
+    build_block_rep,
     check_increasing_relations,
     classical_point_rep,
     enumerate_increasing,
     quantum_extension,
+    two_projection_rep,
 )
 from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO, ResidualTracker
@@ -96,11 +97,11 @@ class TestPartialExpectation:
         assert abs(phi(a @ b) - phi(b @ a)) < 1e-12
 
     def test_exact_backend(self):
-        alg = BAlgebra(d=2, D=2, exact=True)
+        alg = BAlgebra(d=2, D=2)
         rng = np.random.default_rng(9)
         b = random_rational_symmetric(2, rng)
         assert (alg.expect(alg.embed(b)) == b).all()
-        assert (alg.expect(rational_eye(alg.ambient_dim)) == rational_eye(2)).all()
+        assert (alg.expect(np.eye(alg.ambient_dim, dtype=object)) == np.eye(2, dtype=object)).all()
 
     def test_dimension_mismatch(self):
         alg = BAlgebra(d=2, D=3)
@@ -166,7 +167,7 @@ class TestHelpers:
         assert residual_norm(u @ dagger(u) - np.eye(5)) < 1e-12
 
     def test_residual_norm_exact_zero(self):
-        z = rational_zeros(2)
+        z = np.zeros((2, 2), dtype=object)
         assert residual_norm(z) == 0
         assert type(residual_norm(z)) is int
 
@@ -219,7 +220,8 @@ class TestResidualNorms:
         assert got[1] == got[3] == 0.0 and math.isnan(got[5])
 
     def test_exact_stack(self):
-        stack = np.array([rational_zeros(2), [[1, -3], [0, Fraction(-7, 2)]], rational_eye(2),
+        zero, one = np.zeros((2, 2), dtype=object), np.eye(2, dtype=object)
+        stack = np.array([zero, [[1, -3], [0, Fraction(-7, 2)]], one,
                           [[0, 0], [Fraction(1, 9), 0]], [[Fraction(0), 0], [0, 0]]], dtype=object)
         got = residual_norms(stack)
         assert all(self.same(g, residual_norm(a)) for g, a in zip(got, stack, strict=True))
@@ -242,14 +244,32 @@ class TestResidualNorms:
             residual_norms(stack)
 
 
+class TestBackendIsTheDtype:
+    """Units and zeros take the dtype of the arrays they stand beside."""
+
+    def test_units_and_zeros_take_the_dtype_of_their_data(self):
+        for family in (two_projection_rep(0.3), build_block_rep(2, 2, 3, 0)):
+            gen = family.gen(1, 1)
+            assert family.unit().dtype == family.zero().dtype == gen.dtype == np.complex128
+            assert (family.unit() == np.eye(family.dim)).all() and not family.zero().any()
+        law = random_matrix_law(2, 3, 1)
+        assert law.unit().dtype == law.zero().dtype == law.ambient.dtype == np.complex128
+        alg = BAlgebra(d=2, D=3)
+        for b in (np.eye(2, dtype=object), np.eye(2, dtype=complex)):
+            assert alg.embed(b).dtype == b.dtype
+        assert all(type(x) is int for x in alg.embed(np.eye(2, dtype=object)).flat)
+
+
 class TestIntegerFamilies:
     """Classical 0/1 families hold Python ints; a Fraction appears only where
     the data has a denominator."""
 
     def test_exact_unit_and_zero_are_ints(self):
-        assert all(type(x) is int for x in rational_eye(3).flat)
-        assert all(type(x) is int for x in rational_zeros(2, 3).flat)
-        assert (rational_eye(3) == np.eye(3)).all() and rational_zeros(2, 3).shape == (2, 3)
+        rep, law = permutation_rep((2, 3, 1)), random_rational_matrix_law(2, 3, 1)
+        for unit, zero, d in ((rep.unit(), rep.zero(), 1), (law.unit(), law.zero(), 2)):
+            assert is_exact(unit) and is_exact(zero)
+            assert all(type(x) is int for x in (*unit.flat, *zero.flat))
+            assert (unit == np.eye(d)).all() and not zero.any() and zero.shape == (d, d)
 
     def test_classical_families_give_int_or_fraction_residuals(self, monkeypatch):
         kinds = set()
@@ -285,12 +305,12 @@ class TestIntegerFamilies:
             assert report.max_residual == EXACT_ZERO
 
     def test_expectations_of_int_input_are_fractions(self):
-        alg = BAlgebra(d=2, D=3, exact=True)
-        a = rational_eye(6)
+        alg = BAlgebra(d=2, D=3)
+        a = np.eye(6, dtype=object)
         a[0, 3] = 3  # row (1, 1), column (2, 1) of M_2 (x) M_3
         e = alg.expect(a)
         assert all(type(x) is Fraction for x in e.flat)
         assert (e == np.array([[1, 1], [0, 1]])).all()
-        t = alg.trace_state(rational_eye(2))
+        t = alg.trace_state(np.eye(2, dtype=object))
         assert type(t) is Fraction and t == 1
-        assert type(alg.trace_state(alg.unit() * 0)) is Fraction
+        assert type(alg.trace_state(np.zeros((2, 2), dtype=object))) is Fraction
