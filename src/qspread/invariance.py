@@ -116,7 +116,9 @@ def check_kernel_sums(
     all target tuples of length up to ``max_len``, within their work budgets.
     Each partition is one ``_stack`` with all k columns at every position, a
     stack over [k]^m, against the identity where the targets are constant on
-    its blocks and zero elsewhere, with the residuals of ``residual_norms``."""
+    its blocks and zero elsewhere, with the residuals of ``residual_norms``.
+    The witnesses of [k]^m and, per partition, its blocks, that mask and its
+    nesting plan are built once per (k, m) on ``cache``, and only read after."""
     require_within("check_kernel_sums", {"k": rep.k, "max_len": max_len}, {
         "k": budget("kernel_sums.n_max"), "max_len": budget("kernel_sums.quantum_m_max")})
     _require_valid(rep, tolerance)
@@ -127,16 +129,20 @@ def check_kernel_sums(
     every = tuple(range(1, rep.k + 1))
     rows = [{every: np.array([rep.gen(v, j) for j in every])} for v in range(1, rep.n + 1)]
     memo: dict = {}  # block stacks; valid for this representation only
+    tables = cache._kernel_sum_tables
     for m in range(1, max_len + 1):
-        tuples = np.array(list(itertools.product(range(1, rep.k + 1), repeat=m)))
-        witnesses = tuples.tolist()
-        for part in cache.nc(m):
-            blocks = [list(b) for b in part.blocks]
-            within = np.all([tuples[:, p - 1] == tuples[:, b[0] - 1]
-                             for b in part.blocks for p in b], axis=0)
-            want = np.where(within[:, None, None], one, zero)
-            residuals = residual_norms(_stack(rows, nesting_plan(part), (every,) * m, memo)
-                                       - want)
+        if (rep.k, m) not in tables:
+            tuples = np.array(list(itertools.product(every, repeat=m)))
+            tables[rep.k, m] = (tuples.tolist(), [
+                ([list(b) for b in part.blocks],
+                 np.all([tuples[:, p - 1] == tuples[:, b[0] - 1]
+                         for b in part.blocks for p in b], axis=0)[:, None, None],
+                 nesting_plan(part))
+                for part in cache.nc(m)])
+        witnesses, entries = tables[rep.k, m]
+        for blocks, within, plan in entries:
+            residuals = residual_norms(_stack(rows, plan, (every,) * m, memo)
+                                       - np.where(within, one, zero))
             for targets, residual in zip(witnesses, residuals):
                 tracker.add(("kernel-sum", blocks, targets), residual)
     return tracker.report()

@@ -203,6 +203,8 @@ def nesting_plan(part: Partition) -> tuple:
 
 def enumerate_all(m: int) -> Iterator[Partition]:
     """All of P(m): every RGS of length m, in lexicographic order."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
     strings: list[tuple[int, ...]] = [()]
     for _ in range(m):
         strings = [r + (label,) for r in strings for label in range(max(r, default=-1) + 2)]
@@ -223,25 +225,28 @@ def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
     """Extend ``strings``, the RGS lists of NC(0), NC(1), ..., up to NC(m):
     for each choice of the mates of 1 (by number, then lexicographically),
     the product of the gaps' lists, each gap's labels shifted past the blocks
-    already placed, so blocks come out by increasing minimum."""
+    already placed, so blocks come out by increasing minimum.  Built as bytes
+    (labels stay below ``nc.m_max``), a gap shifted by one ``translate``."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > (limit := budget("nc.m_max")):
         raise ValueError(f"m={m} exceeds enumeration limit {limit}")
-    while len(strings) <= m:
-        size, out = len(strings), []
+    if len(strings) > m:
+        return strings
+    levels = [list(map(bytes, level)) for level in strings]
+    shifts = [bytes(range(top, 256)) + bytes(top) for top in range(m + 1)]  # label -> label + top
+    while len(levels) <= m:
+        size, out = len(levels), []
         for r in range(size):
             for mates in itertools.combinations(range(1, size), r):
                 bounds = (0, *mates, size)
-                gaps = [strings[b - a - 1] for a, b in zip(bounds, bounds[1:])]
-                for combo in itertools.product(*gaps):
-                    rgs = [0]
-                    for sub in combo:  # each gap, then the mate closing it
-                        top = max(rgs) + 1
-                        rgs += [label + top for label in sub]
-                        rgs.append(0)
-                    out.append(tuple(rgs[:-1]))
-        strings.append(out)
+                prefixes = [b"\0"]
+                for a, b in zip(bounds, bounds[1:]):  # each gap, then the mate closing it
+                    prefixes = [prefix + sub.translate(shift) + b"\0" for prefix in prefixes
+                                for shift in (shifts[max(prefix) + 1],) for sub in levels[b - a - 1]]
+                out += [prefix[:-1] for prefix in prefixes]
+        levels.append(out)
+        strings.append(list(map(tuple, out)))
     return strings
 
 
@@ -253,9 +258,10 @@ def catalan(m: int) -> int:
 class MobiusCache:
     """The one context object, for NC(m) with m up to the ``nc.m_max`` budget:
     NC(m) per m, built from the RGS strings of the smaller sizes, with its
-    tables and, for m <= ORDER_M_MAX, its order matrix; per RGS, the NC
-    elements below a partition (crossing or not) in the order of NC(m); the
-    Mobius memo; and the state memos of ``weingarten``.
+    tables and, for m <= ORDER_M_MAX, its order matrix; P(m) per m; per RGS,
+    the NC elements below a partition (crossing or not) in the order of
+    NC(m); the Mobius memo; the state memos of ``weingarten``; and the
+    kernel-sum tables of ``invariance``, one per (k, m) for every family.
 
     Fill is single-threaded on demand; afterwards reads are lookups into
     plain dicts and arrays, safe to share.
@@ -264,12 +270,14 @@ class MobiusCache:
     def __init__(self):
         self._strings: list[list[tuple[int, ...]]] = [[()]]  # RGS of NC(0), NC(1), ...
         self._nc: dict[int, tuple[Partition, ...]] = {}
+        self._all: dict[int, tuple[Partition, ...]] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._order: dict[int, np.ndarray] = {}
         self._below: dict[tuple[int, ...], tuple[Partition, ...]] = {}
         self._mu: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}  # per RGS pair
         self._weight_memo: dict = {}
         self._column_memo: dict = {}
+        self._kernel_sum_tables: dict = {}
 
     def nc(self, m: int) -> tuple[Partition, ...]:
         """The non-crossing partitions of {1..m} (cached)."""
@@ -277,6 +285,12 @@ class MobiusCache:
             _extend_nc_strings(self._strings, m)
             self._nc[m] = tuple(map(Partition._of, self._strings[m]))
         return self._nc[m]
+
+    def all(self, m: int) -> tuple[Partition, ...]:
+        """All of P(m), in the order of ``enumerate_all`` (cached)."""
+        if m not in self._all:
+            self._all[m] = tuple(enumerate_all(m))
+        return self._all[m]
 
     def _table(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """NC(m) as (RGS array, first element of each element's block), both

@@ -38,7 +38,6 @@ from .partitions import (
     OrderError,
     Partition,
     default_cache,
-    enumerate_all,
     kernel,
     kernel_rgs,
     leq,
@@ -135,7 +134,7 @@ def _band_weights(cols: tuple[int, ...], tau: Partition, n: int, cache: MobiusCa
     """(band, weight) per kernel rho, with at most n blocks, of the assignments
     of {1..n} to the blocks of tau: the band assigning rho's RGS from 1, and its
     reconstruction weight times the n (n-1) ... (n-|rho|+1) bands of kernel rho."""
-    for rho in enumerate_all(tau.size()):
+    for rho in cache.all(tau.size()):
         count = math.perm(n, rho.size())
         if count:
             band = tuple(rho.rgs[label] + 1 for label in tau.rgs)

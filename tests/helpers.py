@@ -1,14 +1,18 @@
 """Helpers that only the tests need: the inverse of ``cli.rep_from_json``,
 the convolution of two permutation-kind families (the executable
 comultiplication), the composition of permutations that it stands for, and
-two differential oracles.  ``_fold``, the kernel-constrained sum at one target
-tuple, skips the rows where a generator is exactly zero on the exact backend
-only: the oracle of ``invariance._stack``.  ``every_product_relations_report``
-forms every product of a relation check, on both backends: the oracle of
-``qis._relations_report``, which skips the products with a zero factor."""
+three differential oracles.  ``_fold``, the kernel-constrained sum at one
+target tuple, skips the rows where a generator is exactly zero on the exact
+backend only: the oracle of ``invariance._stack``.
+``every_product_relations_report`` forms every product of a relation check,
+on both backends: the oracle of ``qis._relations_report``, which skips the
+products with a zero factor.  ``_extend_nc_strings`` builds the RGS strings
+of NC(m) as tuples, one label at a time: the oracle of the byte-string
+enumerator in ``partitions``."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 
@@ -16,7 +20,7 @@ import numpy as np
 
 from qspread.linalg import dagger, is_exact, residual_norm
 from qspread.qis import DEFAULT_REP_TOLERANCE, Representation
-from qspread.reports import ResidualTracker
+from qspread.reports import ResidualTracker, budget
 
 
 def rep_to_json_dict(rep: Representation) -> dict:
@@ -152,3 +156,29 @@ def every_product_relations_report(rep: Representation, name: str, tolerance, se
         worst[defining] = max(worst[defining], r)
     return tracker.report(extra_params={"defining_residual": float(worst[True]),
                                         "derived_residual": float(worst[False])})
+
+
+def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
+    """Extend ``strings``, the RGS lists of NC(0), NC(1), ..., up to NC(m):
+    for each choice of the mates of 1 (by number, then lexicographically),
+    the product of the gaps' lists, each gap's labels shifted past the blocks
+    already placed, so blocks come out by increasing minimum."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if m > (limit := budget("nc.m_max")):
+        raise ValueError(f"m={m} exceeds enumeration limit {limit}")
+    while len(strings) <= m:
+        size, out = len(strings), []
+        for r in range(size):
+            for mates in itertools.combinations(range(1, size), r):
+                bounds = (0, *mates, size)
+                gaps = [strings[b - a - 1] for a, b in zip(bounds, bounds[1:])]
+                for combo in itertools.product(*gaps):
+                    rgs = [0]
+                    for sub in combo:  # each gap, then the mate closing it
+                        top = max(rgs) + 1
+                        rgs += [label + top for label in sub]
+                        rgs.append(0)
+                    out.append(tuple(rgs[:-1]))
+        strings.append(out)
+    return strings

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qspread import invariance
 from qspread.invariance import (
     _column_rows,
     _kernel_classes,
@@ -38,7 +39,7 @@ from qspread.moments import (
     semicircular_law,
 )
 from qspread.partitions import (
-    MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, leq, nesting_plan,
+    MobiusCache, Partition, catalan, enumerate_all, enumerate_nc, kernel, leq, nesting_plan,
 )
 from qspread.qis import (
     Representation,
@@ -49,8 +50,8 @@ from qspread.qis import (
     two_projection_rep,
 )
 from qspread.qperm import permutation_rep, two_point_rep
-from qspread.reports import EXACT_ZERO
-from qspread.suites import DEFAULT_CONFIG, _broken_sequence
+from qspread.reports import EXACT_ZERO, ResidualTracker
+from qspread.suites import DEFAULT_CONFIG, _broken_sequence, run_section
 
 from helpers import _fold, _rows_for, convolution
 
@@ -172,6 +173,61 @@ class TestKernelConstrainedSum:
         rep = two_projection_rep(0.4)
         report = check_kernel_sums(rep, max_len=3, tolerance=1e-10, cache=CACHE)
         assert report.passed, report.max_residual
+
+
+class TestSharedKernelSumTables:
+    """One cache's kernel-sum tables, per (k, m), serve every family: exact
+    permutation reps, a float extension with the same k as the n = 4 reps,
+    and a float square family give the same reports and the same cases in
+    either order as each with a fresh cache."""
+
+    @staticmethod
+    def families():
+        reps = [(permutation_rep(perm), 4) for n in range(1, 5)
+                for perm in itertools.permutations(range(1, n + 1))]
+        return reps + [(quantum_extension(two_projection_rep(0.6)), 3),
+                       (projection_perm_rep(), 4)]
+
+    @staticmethod
+    def sweep(families, cache_for, monkeypatch):
+        cases = []
+        add = ResidualTracker.add
+
+        def counted(self, witness, residual):
+            cases[-1] += 1
+            add(self, witness, residual)
+
+        out = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ResidualTracker, "add", counted)
+            for rep, max_len in families:
+                cases.append(0)
+                tol = 0 if is_exact(rep.gen(1, 1)) else 1e-10
+                report = check_kernel_sums(rep, max_len, tolerance=tol,
+                                           cache=cache_for()).to_json_dict()
+                report.pop("runtime_ms")
+                out.append((report, cases[-1]))
+        return out
+
+    def test_shared_cache_in_either_order_is_a_fresh_cache_per_rep(self, monkeypatch):
+        families = self.families()
+        fresh = self.sweep(families, MobiusCache, monkeypatch)
+        shared = MobiusCache()
+        forward = self.sweep(families, lambda: shared, monkeypatch)
+        backward = self.sweep(families[::-1], lambda: shared, monkeypatch)
+        assert forward == fresh and backward[::-1] == fresh
+        assert sorted(shared._kernel_sum_tables) == [(k, m) for k in (1, 2, 3, 4)
+                                                     for m in (1, 2, 3, 4)]
+
+    def test_one_nesting_plan_per_table_entry(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(invariance, "nesting_plan",
+                            lambda part: calls.append(part) or nesting_plan(part))
+        cache, cfg = MobiusCache(), DEFAULT_CONFIG["kernel_sums"]
+        assert all(report.passed for report in run_section("kernel_sums", DEFAULT_CONFIG, cache))
+        entries = [entry for _, table in cache._kernel_sum_tables.values() for entry in table]
+        assert len(calls) == len(entries) == cfg["n_max"] * sum(
+            catalan(m) for m in range(1, cfg["m_max"] + 1))
 
 
 class TestFoldMatchesEnumeration:

@@ -7,14 +7,16 @@ value, ``leq`` by block lookups, ``meet`` by pairs of block indices, and both
 enumerations building every partition through the validating constructor.
 The Mobius oracle is the memoized recursion over down-sets that the closed
 form (the relative Kreweras complement) replaced.  The NC(m) tables are
-checked against what they replaced: the recursive enumeration, ``leq`` scans
-for the down-sets and the order matrix, and the O(|NC(m)|^2) column scan.
+checked against what they replaced: the recursive enumeration, the
+tuple-string enumerator (``helpers._extend_nc_strings``), ``leq`` scans for
+the down-sets and the order matrix, and the O(|NC(m)|^2) column scan.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from qspread.partitions import (
     MobiusCache,
     OrderError,
     Partition,
+    _extend_nc_strings,
     enumerate_all,
     enumerate_nc,
     kernel,
@@ -32,6 +35,8 @@ from qspread.partitions import (
     mobius_column_oracle,
 )
 from qspread.reports import budget
+
+from helpers import _extend_nc_strings as tuple_nc_strings
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -246,6 +251,33 @@ class TestTablesAgainstScans:
         assert ORDER_M_MAX + 1 not in cache._order
         assert max(budget(f"nc.{key}")
                    for key in ("mobius_m_max", "zeta_m_max", "column_m_max")) <= ORDER_M_MAX
+
+
+class TestByteEnumeratorAgainstTuples:
+    """The byte-string enumerator against the tuple-string one it replaced:
+    the same strings in the same order, up to one size below the cap."""
+
+    M_MAX = budget("nc.m_max") - 1
+
+    def test_one_call_per_size(self):
+        for m in range(0, self.M_MAX + 1):
+            assert _extend_nc_strings([[()]], m) == tuple_nc_strings([[()]], m), m
+
+    def test_size_by_size_as_the_cache_builds(self):
+        built, oracle = [[()]], [[()]]
+        for m in range(0, self.M_MAX + 1):
+            assert _extend_nc_strings(built, m) is built
+            assert built == tuple_nc_strings(oracle, m), m
+            assert all(type(rgs) is tuple for rgs in built[m])
+        # a size already built returns at once, with nothing appended
+        assert _extend_nc_strings(built, 3) is built and len(built) == self.M_MAX + 1
+
+    def test_tables_are_the_tables_of_the_tuple_strings(self):
+        cache, oracle = MobiusCache(), MobiusCache()
+        oracle._strings = tuple_nc_strings([[()]], self.M_MAX)
+        for m in range(0, self.M_MAX + 1):
+            for got, want in zip(cache._table(m), oracle._table(m)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), m
 
 
 def recursive_mobius(s: Partition, p: Partition, cache: MobiusCache, memo: dict) -> int:

@@ -103,6 +103,12 @@ class TestEnumeration:
             enumerate_nc(13)
         assert len(enumerate_nc(11)) == catalan(11)
 
+    def test_cached_all_partitions(self):
+        cache = MobiusCache()
+        for m in range(0, 6):
+            assert cache.all(m) == tuple(enumerate_all(m))
+            assert cache.all(m) is cache.all(m)
+
 
 class TestNoncrossing:
     def test_minimal_crossing(self):

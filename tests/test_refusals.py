@@ -22,7 +22,9 @@ from qspread.moments import (
     partition_moment,
     semicircular_law,
 )
-from qspread.partitions import GroundSetError, MobiusCache, Partition, enumerate_nc, kernel, meet
+from qspread.partitions import (
+    GroundSetError, MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, meet,
+)
 from qspread.qis import (
     IncreasingSequence,
     Representation,
@@ -89,6 +91,10 @@ REFUSALS = [
      lambda: meet(Partition(2, [[1, 2]]), Partition(3, [[1, 2, 3]])),
      GroundSetError, "ground sets differ: 2 vs 3"),
     ("enumerate-nc-negative", lambda: enumerate_nc(-1),
+     ValueError, "m must be >= 0, got -1"),
+    ("enumerate-all-negative", lambda: enumerate_all(-1),
+     ValueError, "m must be >= 0, got -1"),
+    ("cache-all-negative", lambda: MobiusCache().all(-1),
      ValueError, "m must be >= 0, got -1"),
     ("increasing-k-above-n", lambda: IncreasingSequence(3, 2, (1, 2, 3)),
      ValueError, "need 1 <= k <= n, got k=3 n=2"),
