@@ -286,6 +286,10 @@ class MobiusCache:
             self._nc[m] = tuple(map(Partition._of, self._strings[m]))
         return self._nc[m]
 
+    def count(self, m: int) -> int:
+        """|NC(m)|, counted from its RGS strings: no ``Partition`` is built."""
+        return len(_extend_nc_strings(self._strings, m)[m])
+
     def all(self, m: int) -> tuple[Partition, ...]:
         """All of P(m), in the order of ``enumerate_all`` (cached)."""
         if m not in self._all:

@@ -158,20 +158,25 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
     ``groups`` in turn it tracks the projection and self-adjoint residuals of
     the generators at ``keys``, then the residual from the unit of the sum
     over each (label, keys) of ``sums``: all defining.  Then each (label,
-    keys, defining) that ``products`` yields tracks the norm of the product
-    of the generators at ``keys``, as a defining or a derived residual.
+    terms, defining) that ``products`` yields tracks the norm of the product
+    of the generators at the keys ``terms``, as a defining or a derived
+    residual.
 
-    A product with an exactly zero factor is the zero matrix on either backend,
-    so its case gets the int 0 with no product formed (a non-finite factor is
-    never skipped, and its own projection case has already failed or raised)."""
+    An exactly zero generator is a projection and self-adjoint, and a product
+    with an exactly zero factor is the zero matrix, on either backend: each of
+    those cases gets the int 0 with no product, adjoint or norm formed (a
+    non-finite entry is nonzero, so it is never skipped and its own
+    projection case fails or raises)."""
     tracker = ResidualTracker(name, DEFAULT_REP_TOLERANCE if tolerance is None else tolerance,
                               params=params, seed=rep.seed if seed is None else seed)
     worst = {True: 0, False: 0}  # defining, derived
+    nonzero = {key: g.any() for key, g in rep.gens.items()}
     for keys, sums in groups:
         for i, j in keys:
-            g = rep.gen(i, j)
-            r_proj = residual_norm(g @ g - g)
-            r_adj = residual_norm(dagger(g) - g)
+            r_proj = r_adj = 0
+            if nonzero[i, j]:
+                g = rep.gens[i, j]
+                r_proj, r_adj = residual_norm(g @ g - g), residual_norm(dagger(g) - g)
             tracker.add(("projection", i, j), r_proj)
             tracker.add(("self-adjoint", i, j), r_adj)
             worst[True] = max(worst[True], r_proj, r_adj)
@@ -179,13 +184,13 @@ def _relations_report(rep: Representation, name: str, tolerance, seed, params: d
             r_sum = residual_norm(sum((rep.gen(*key) for key in terms), rep.zero()) - rep.unit())
             tracker.add(label, r_sum)
             worst[True] = max(worst[True], r_sum)
-    nonzero = {key: g.any() for key, g in rep.gens.items()}
+    add, is_nonzero = tracker.add, nonzero.__getitem__
     for label, terms, defining in products:
-        if not all(nonzero[key] for key in terms):
-            tracker.add(label, 0)
+        if not all(map(is_nonzero, terms)):
+            add(label, 0)
             continue
-        r = residual_norm(functools.reduce(operator.matmul, (rep.gen(*key) for key in terms)))
-        tracker.add(label, r)
+        r = residual_norm(functools.reduce(operator.matmul, map(rep.gens.__getitem__, terms)))
+        add(label, r)
         worst[defining] = max(worst[defining], r)
     return tracker.report(extra_params={"defining_residual": float(worst[True]),
                                         "derived_residual": float(worst[False])})
@@ -213,13 +218,13 @@ def check_increasing_relations(
         for j, jp in itertools.combinations_with_replacement(cols, 2):
             for i, ip in itertools.product(rows, rows):
                 if j < jp and i >= ip:
-                    yield ("increasing", i, j, ip, jp), [(i, j), (ip, jp)], True
+                    yield ("increasing", i, j, ip, jp), ((i, j), (ip, jp)), True
                 elif ip - i < jp - j:
-                    yield ("derived-orthogonality", i, j, ip, jp), [(i, j), (ip, jp)], False
+                    yield ("derived-orthogonality", i, j, ip, jp), ((i, j), (ip, jp)), False
         for j in cols:
             for i in rows:
                 if not j <= i <= rep.n - rep.k + j:
-                    yield ("derived-zero-band", i, j), [(i, j)], False
+                    yield ("derived-zero-band", i, j), ((i, j),), False
 
     return _relations_report(rep, "increasing_relations", tolerance, seed,
                              {"k": rep.k, "n": rep.n, "dim": rep.dim}, groups, products())

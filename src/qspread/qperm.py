@@ -16,8 +16,8 @@ import numpy as np
 from .qis import Representation, _relations_report
 from .reports import CheckReport, require_within
 
-# Work budget of check_magic_unitary (O(n^3) products): the identity
-# permutation at n = 128 takes 27.5 s, at 136 31.9 s (2-vCPU host).
+# Work budget of check_magic_unitary (O(n^3) products, the zero ones not formed):
+# the identity permutation at n = 128 checks in 2.2-2.4 s (2-vCPU host).
 MAGIC_CAPS = {"n": 128}
 
 
@@ -64,8 +64,8 @@ def check_magic_unitary(
     def products():
         for i, a, b in itertools.product(span, repeat=3):
             if a != b:
-                yield ("row-orthogonality", i, a, b), [(i, a), (i, b)], False
-                yield ("column-orthogonality", a, b, i), [(a, i), (b, i)], False
+                yield ("row-orthogonality", i, a, b), ((i, a), (i, b)), False
+                yield ("column-orthogonality", a, b, i), ((a, i), (b, i)), False
 
     return _relations_report(rep, "magic_unitary", tolerance, seed, {"n": rep.n, "dim": rep.dim},
                              [(itertools.product(span, span), sums)], products())

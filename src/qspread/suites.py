@@ -40,7 +40,6 @@ from .partitions import (
     MobiusCache,
     Partition,
     catalan,
-    enumerate_all,
     kernel,
     mobius_column_oracle,
     zeta_inverse_table,
@@ -272,7 +271,7 @@ def nc_count_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     tracker = ResidualTracker("nc_counts", 0, params={"m_max": m_max}, seed=config["seed"])
     counts = {}
     for m in range(0, m_max + 1):
-        got = len(cache.nc(m))
+        got = cache.count(m)
         expected = catalan_by_recurrence(m)
         counts[str(m)] = got
         tracker.add(("count", m), abs(got - expected))
@@ -567,10 +566,11 @@ def psi_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     ]
 
 
-def _kernel_pattern_tuples(m: int) -> list[tuple[int, ...]]:
+def _kernel_pattern_tuples(m: int, cache: MobiusCache) -> list[tuple[int, ...]]:
     """One canonical target tuple per set-partition kernel of {1..m}: the
-    RGS of each partition, counted from 1, in lexicographic order."""
-    return [tuple(label + 1 for label in p.rgs) for p in enumerate_all(m)]
+    RGS of each partition of ``cache.all(m)``, counted from 1, in
+    lexicographic order."""
+    return [tuple(label + 1 for label in p.rgs) for p in cache.all(m)]
 
 
 def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
@@ -583,7 +583,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
         params={"m_max": cfg["unit_m_max"], "n_max": cfg["unit_n_max"]}, seed=seed,
     )
     for m in range(1, cfg["unit_m_max"] + 1):
-        for cols in _kernel_pattern_tuples(m):
+        for cols in _kernel_pattern_tuples(m, cache):
             for tau in cache.below(kernel(cols)):
                 for n in range(1, cfg["unit_n_max"] + 1):
                     value = combinatorial_unit_identity(tau, cols, n, cache)
@@ -604,7 +604,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
             seed=seed,
         )
         for m in range(1, cfg["m_max"] + 1):
-            for cols in _kernel_pattern_tuples(m):
+            for cols in _kernel_pattern_tuples(m, cache):
                 word = Word.plain(law, cols)
                 direct = seq.moment(word)
                 for n in range(1, cfg["n_max"] + 1):

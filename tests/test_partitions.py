@@ -7,6 +7,7 @@ import pytest
 
 from qspread import invariance, moments, suites, weingarten
 from qspread.partitions import (
+    ORDER_M_MAX,
     GroundSetError,
     MobiusCache,
     OrderError,
@@ -102,6 +103,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_nc(13)
         assert len(enumerate_nc(11)) == catalan(11)
+
+    def test_count_is_the_size_of_nc(self):
+        cache = MobiusCache()
+        for m in range(0, 11):
+            assert cache.count(m) == len(enumerate_nc(m)) == len(cache.nc(m))
+
+    def test_the_count_section_builds_no_partition_above_the_order_size(self):
+        cache, config = MobiusCache(), suites.merge_config({})
+        [report] = suites.nc_count_checks(config, cache)
+        assert report.passed and len(report.params["counts"]) == config["nc"]["m_max"] + 1
+        assert config["nc"]["m_max"] > ORDER_M_MAX
+        assert all(m <= ORDER_M_MAX for m in cache._nc)
 
     def test_cached_all_partitions(self):
         cache = MobiusCache()

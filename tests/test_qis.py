@@ -21,7 +21,7 @@ from qspread.qis import (
     two_projection_rep,
 )
 from qspread.cli import rep_from_json
-from qspread.linalg import residual_norm
+from qspread.linalg import dagger, residual_norm
 from qspread.qperm import check_magic_unitary, permutation_rep
 from qspread.reports import EXACT_ZERO
 
@@ -235,10 +235,12 @@ class TestRelationsSkipZeroProducts:
         return dataclasses.replace(rep, gens={**rep.gens, key: g})
 
     def cases(self):
-        one = np.array([[1]], dtype=object)
+        one, two = np.array([[1]], dtype=object), np.array([[2]], dtype=object)
         yield check_magic_unitary, self.with_gen(permutation_rep((1, 2, 3)), (1, 2), one)
         yield (check_increasing_relations,
                self.with_gen(classical_point_rep(IncreasingSequence(2, 4, (1, 3))), (2, 2), one))
+        # a failing generator beside zero generators: no zero hides its cases
+        yield check_magic_unitary, self.with_gen(permutation_rep((1, 2)), (1, 1), two)
         for n in range(1, 6):
             for k in range(1, n + 1):
                 for l in enumerate_increasing(k, n):
@@ -281,8 +283,9 @@ class TestRelationsSkipZeroProducts:
         monkeypatch.setattr(qperm, "_relations_report", every_product_relations_report)
         formed = self.outcomes(monkeypatch)
         assert skipped == formed
-        assert [s[0]["status"] for s in skipped[:2]] == ["fail", "fail"]
-        exact, floats = skipped[2:-6], skipped[-6:]
+        assert [s[0]["status"] for s in skipped[:3]] == ["fail", "fail", "fail"]
+        assert skipped[2][0]["witness"] == ["projection", 1, 1]
+        exact, floats = skipped[3:-6], skipped[-6:]
         assert all(s[0]["max_residual"] == EXACT_ZERO for s in exact)
         assert [s[0]["status"] for s in floats[:4]] == ["pass", "pass", "pass", "fail"]
         assert floats[4:] == [np.linalg.LinAlgError] * 2
@@ -297,6 +300,29 @@ class TestRelationsSkipZeroProducts:
         rep = permutation_rep((2, 1, 3, 4))
         calls = count_calls(monkeypatch, check_magic_unitary, rep)
         assert calls < count_cases(monkeypatch, check_magic_unitary, rep)
+
+    @pytest.mark.parametrize("rep", [classical_point_rep(IncreasingSequence(2, 4, (1, 3))),
+                                     build_block_rep(2, 2, 3, 0)], ids=["classical", "block"])
+    def test_zero_generators_reach_no_norm_and_no_adjoint(self, monkeypatch, rep):
+        # the work done before each case: a nonzero generator's projection case
+        # takes two norms and one adjoint, a zero generator's takes nothing
+        events, add = [], qis.ResidualTracker.add
+        with monkeypatch.context() as patch:
+            patch.setattr(qis, "residual_norm", lambda a: events.append("norm") or residual_norm(a))
+            patch.setattr(qis, "dagger", lambda a: events.append("dagger") or dagger(a))
+            patch.setattr(qis.ResidualTracker, "add",
+                          lambda self, w, r: events.append(w) or add(self, w, r))
+            check_increasing_relations(rep)
+        work, since = {}, []
+        for event in events:
+            if event in ("norm", "dagger"):
+                since.append(event)
+            else:
+                work[event], since = since, []
+        assert any(not g.any() for g in rep.gens.values())
+        for (i, j), g in rep.gens.items():
+            assert work["projection", i, j] == (["norm", "dagger", "norm"] if g.any() else [])
+            assert work["self-adjoint", i, j] == []
 
 
 def count_calls(monkeypatch, check, rep) -> int:

@@ -189,7 +189,7 @@ class TestUnitIdentity:
         cfg = DEFAULT_CONFIG["reconstruction"]
         cache, identities = MobiusCache(), 0
         for m in range(1, cfg["unit_m_max"] + 1):
-            for cols in _kernel_pattern_tuples(m):
+            for cols in _kernel_pattern_tuples(m, cache):
                 for tau in cache.below(kernel(cols)):
                     for n in range(1, cfg["unit_n_max"] + 1):
                         grouped = combinatorial_unit_identity(tau, cols, n, cache)
@@ -246,7 +246,8 @@ class TestReconstruction:
         # every column index times n <= 3 stays within the classical model's 12 lists
         cache = MobiusCache()
         seq = make(cache)
-        words = [Word.plain(seq, cols) for m in range(1, 5) for cols in _kernel_pattern_tuples(m)]
+        words = [Word.plain(seq, cols)
+                 for m in range(1, 5) for cols in _kernel_pattern_tuples(m, cache)]
         words.append(Word.plain(seq, (1, 2, 1), powers=(2, 1, 1)))
         for word in words:
             for n in (1, 2, 3):
@@ -283,7 +284,7 @@ class TestReconstruction:
                             lambda law, word, cache: calls.append(word.indices)
                             or free_iid_moment(law, word, cache))
         for m in range(1, 5):
-            for cols in _kernel_pattern_tuples(m):
+            for cols in _kernel_pattern_tuples(m, cache):
                 for n in (1, 2, 3):
                     calls.clear()
                     finite_n_reconstruction(FreeSequence(law, cache), Word.plain(law, cols), n,
