@@ -23,7 +23,6 @@ zeta (order) matrix and serve as its independent oracles.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -392,26 +391,24 @@ def mobius_column_oracle(m: int, cache: MobiusCache) -> dict[Partition, int]:
     return dict(zip(elems, column))
 
 
-def zeta_inverse_table(
-    m: int, cache: MobiusCache
-) -> dict[tuple[Partition, Partition], int | Fraction]:
+def zeta_inverse_table(m: int, cache: MobiusCache) -> dict[tuple[Partition, Partition], int]:
     """Invert the zeta matrix of NC(m) by exact Gauss-Jordan elimination.
 
     Brute-force oracle for the full Mobius table; O(|NC(m)|^3) exact
     operations, intended for small m only.  The zeta matrix is the 0/1 order
-    matrix of ``MobiusCache.order``, held as ints: a pivot of 1 needs no
-    scaling, and a Fraction would appear only at another pivot.
+    matrix of ``MobiusCache.order``, held as ints.  Each leading principal
+    minor is the determinant of a subposet's zeta matrix, 1, so every pivot
+    is 1 where it stands and every entry stays an int; a pivot that is not 1
+    raises ArithmeticError naming its column.
     """
     elems, order = cache.nc(m), cache.order(m).tolist()
     size = len(elems)
     aug = [[int(v) for v in order[r]] + [int(r == c) for c in range(size)]
            for r in range(size)]
     for col in range(size):
-        pivot = next(r for r in range(col, size) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
         if aug[col][col] != 1:
-            inv = Fraction(1, aug[col][col])
-            aug[col] = [v * inv for v in aug[col]]
+            raise ArithmeticError(f"zeta matrix of NC({m}) has pivot {aug[col][col]} "
+                                  f"in column {col}, not 1")
         for r in range(size):
             if r != col and aug[r][col] != 0:
                 factor = aug[r][col]

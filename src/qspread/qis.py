@@ -232,14 +232,9 @@ def check_increasing_relations(
 
 def extend_to_permutation(l: IncreasingSequence) -> tuple[int, ...]:
     """Extend l to the permutation sending j to l_j and filling the remaining
-    slots with the least unused value each time."""
-    values = list(l.values)
-    used = set(values)
-    for _ in range(l.n - l.k):
-        candidate = next(v for v in range(1, l.n + 1) if v not in used)
-        values.append(candidate)
-        used.add(candidate)
-    return tuple(values)
+    slots with the unused values in increasing order."""
+    used = set(l.values)
+    return tuple(l.values) + tuple(v for v in range(1, l.n + 1) if v not in used)
 
 
 def quantum_extension(

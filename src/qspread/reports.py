@@ -141,6 +141,16 @@ class ResidualTracker:
         )
 
 
+def rollup(check_name: str, tolerance, params: dict, seed: int | None, cases) -> CheckReport:
+    """One report for a sweep of sub-checks: an ``add_report`` for each
+    (witness, inner report) of ``cases``, drawn in order after the tracker
+    starts, so a lazy ``cases`` runs each inner check inside it."""
+    tracker = ResidualTracker(check_name, tolerance, params=params, seed=seed)
+    for witness, inner in cases:
+        tracker.add_report(witness, inner)
+    return tracker.report()
+
+
 def budget(key: str) -> int:
     """The work budget of the dotted config key ``key``, its schema maximum,
     read at each call: a direct call and ``merge_config`` check one number."""
@@ -156,15 +166,3 @@ def require_within(check: str, sizes: dict, caps: dict) -> None:
     for key, cap in caps.items():
         if sizes[key] > cap:
             raise ValueError(f"{check} needs {key} <= {cap} (work budget), got {sizes[key]}")
-
-
-def error_report(check_name: str, params: dict, message: str,
-                 seed: int | None = None) -> CheckReport:
-    return CheckReport(
-        check_name=check_name,
-        params={**params, "error": message},
-        status="error",
-        max_residual=None,
-        witness=None,
-        seed=seed,
-    )

@@ -1,15 +1,14 @@
 """Config-driven check batteries behind the command-line runner.
 
-Every function returns a list of CheckReports whose params are sufficient to
-re-run that check in isolation.  All randomness is derived from the config
-seed with fixed offsets, so identical configs give identical report streams
-(up to the runtime fields).
+Every section yields CheckReports whose params are sufficient to re-run that
+check in isolation.  All randomness is derived from the config seed with
+fixed offsets, so identical configs give identical report streams (up to
+the runtime fields).
 """
 from __future__ import annotations
 
 import copy
 import itertools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -55,7 +54,7 @@ from .qis import (
     two_projection_rep,
 )
 from .qperm import check_magic_unitary, permutation_rep, two_point_rep
-from .reports import SCHEMA, CheckReport, ResidualTracker, error_report
+from .reports import SCHEMA, CheckReport, ResidualTracker, rollup
 from .weingarten import (
     GRAM_SIZE_CAP,
     combinatorial_unit_identity,
@@ -266,7 +265,7 @@ def catalan_by_recurrence(m: int) -> int:
     return table[m]
 
 
-def nc_count_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def nc_count_checks(config: dict, cache: MobiusCache):
     m_max = config["nc"]["m_max"]
     tracker = ResidualTracker("nc_counts", 0, params={"m_max": m_max}, seed=config["seed"])
     counts = {}
@@ -276,26 +275,25 @@ def nc_count_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         counts[str(m)] = got
         tracker.add(("count", m), abs(got - expected))
         tracker.add(("closed-form", m), abs(got - catalan(m)))
-    return [tracker.report(extra_params={"counts": counts})]
+    yield tracker.report(extra_params={"counts": counts})
 
 
-def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def mobius_checks(config: dict, cache: MobiusCache):
     cfg = config["nc"]
     seed = config["seed"]
-    reports = []
 
     tracker = ResidualTracker(
         "mobius_identity", 0, params={"m_max": cfg["mobius_m_max"]}, seed=seed
     )
     for m in range(0, cfg["mobius_m_max"] + 1):
-        order = cache.order(m)
-        for i, p in enumerate(cache.nc(m)):
-            below_p, at = cache.below(p), np.flatnonzero(order[:, i])
-            for s, row in zip(below_p, order[np.ix_(at, at)]):
-                total = sum(cache.mobius(s, below_p[b]) for b in np.flatnonzero(row).tolist())
-                expected = 1 if s == p else 0
-                tracker.add(("pair", m, s, p), abs(total - expected))
-    reports.append(tracker.report())
+        order, elems = cache.order(m), cache.nc(m)
+        for i, p in enumerate(elems):
+            at = np.flatnonzero(order[:, i]).tolist()  # the down-set of p, in nc order
+            for a, row in zip(at, order[np.ix_(at, at)]):
+                total = sum(cache.mobius(elems[a], elems[at[b]])
+                            for b in np.flatnonzero(row).tolist())
+                tracker.add(("pair", m, elems[a], p), abs(total - (1 if a == i else 0)))
+    yield tracker.report()
 
     tracker = ResidualTracker(
         "mobius_zeta_table", 0, params={"m_max": cfg["zeta_m_max"]}, seed=seed
@@ -303,7 +301,7 @@ def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     for m in range(1, cfg["zeta_m_max"] + 1):
         for (s, p), value in zeta_inverse_table(m, cache).items():
             tracker.add(("entry", m, s, p), abs(value - cache.mobius(s, p)))
-    reports.append(tracker.report())
+    yield tracker.report()
 
     tracker = ResidualTracker(
         "mobius_column_oracle", 0, params={"m_max": cfg["column_m_max"]}, seed=seed
@@ -316,15 +314,13 @@ def mobius_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         tracker.add(
             ("catalan-sign", m), abs(value - (-1) ** (m - 1) * catalan(m - 1))
         )
-    reports.append(tracker.report())
-    return reports
+    yield tracker.report()
 
 
-def roundtrip_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def roundtrip_checks(config: dict, cache: MobiusCache):
     cfg = config["roundtrip"]
     tol = config["tolerances"]["roundtrip"]
     seed = config["seed"]
-    reports = []
 
     tracker = ResidualTracker(
         "moment_cumulant_roundtrip_scalar", 0,
@@ -339,7 +335,7 @@ def roundtrip_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         ok = moment_cumulant_roundtrip(ScalarLaw(moments), m, seed=seed + m, tolerance=0,
                                        cache=cache)
         tracker.add(("scalar", m), 0 if ok else 1)
-    reports.append(tracker.report())
+    yield tracker.report()
 
     tracker = ResidualTracker(
         "moment_cumulant_roundtrip_matrix", tol,
@@ -349,8 +345,7 @@ def roundtrip_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
         law = random_matrix_law(2, 2, seed + 10 + m)
         ok = moment_cumulant_roundtrip(law, m, seed=seed + m, tolerance=tol, cache=cache)
         tracker.add(("matrix", m), 0 if ok else 1)
-    reports.append(tracker.report())
-    return reports
+    yield tracker.report()
 
 
 def _angles(count: int, seed: int) -> list[float]:
@@ -358,84 +353,70 @@ def _angles(count: int, seed: int) -> list[float]:
     return [float(t) for t in rng.uniform(0.05, np.pi / 2 - 0.05, size=count)]
 
 
-def relations_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def _points(n_max: int):
+    """(k, n, l) for every increasing sequence l of k values in 1..n, n <= ``n_max``."""
+    return ((k, n, l) for n in range(1, n_max + 1) for k in range(1, n + 1)
+            for l in enumerate_increasing(k, n))
+
+
+def relations_checks(config: dict, cache: MobiusCache):
     cfg = config["relations"]
     tol = config["tolerances"]["relations"]
     seed = config["seed"]
-    reports = []
 
-    tracker = ResidualTracker(
-        "increasing_relations_projection_family", tol,
-        params={"k": 2, "n": 4, "theta_count": cfg["theta_count"]}, seed=seed,
-    )
-    for theta in _angles(cfg["theta_count"], seed + 2):
-        tracker.add_report(("theta", theta),
-                           check_increasing_relations(two_projection_rep(theta), tolerance=tol))
-    reports.append(tracker.report())
-
-    tracker = ResidualTracker("increasing_relations_classical_points", 0,
-                              params={"n_max": cfg["classical_n_max"]}, seed=seed)
-    for n in range(1, cfg["classical_n_max"] + 1):
-        for k in range(1, n + 1):
-            for l in enumerate_increasing(k, n):
-                tracker.add_report(("point", k, n, list(l.values)),
-                                   check_increasing_relations(classical_point_rep(l), tolerance=0))
-    reports.append(tracker.report())
+    yield rollup("increasing_relations_projection_family", tol,
+                 {"k": 2, "n": 4, "theta_count": cfg["theta_count"]}, seed,
+                 ((("theta", theta),
+                   check_increasing_relations(two_projection_rep(theta), tolerance=tol))
+                  for theta in _angles(cfg["theta_count"], seed + 2)))
+    yield rollup("increasing_relations_classical_points", 0, {"n_max": cfg["classical_n_max"]},
+                 seed, ((("point", k, n, list(l.values)),
+                         check_increasing_relations(classical_point_rep(l), tolerance=0))
+                        for k, n, l in _points(cfg["classical_n_max"])))
 
     block = cfg["block"]
     rep = build_block_rep(block["k"], block["n"], block["dim"], seed + 3)
-    reports.append(check_increasing_relations(rep, tolerance=tol, seed=seed + 3)
-                   .renamed("increasing_relations_block_family", **block))
-    return reports
+    yield (check_increasing_relations(rep, tolerance=tol, seed=seed + 3)
+           .renamed("increasing_relations_block_family", **block))
 
 
-def extension_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def extension_checks(config: dict, cache: MobiusCache):
     cfg = config["extension"]
     magic_tol = config["tolerances"]["magic"]
     seed = config["seed"]
-    reports = []
 
     tracker = ResidualTracker("extension_classical_points", 0,
                               params={"n_max": cfg["classical_n_max"]}, seed=seed)
-    for n in range(1, cfg["classical_n_max"] + 1):
-        for k in range(1, n + 1):
-            for l in enumerate_increasing(k, n):
-                extended = quantum_extension(classical_point_rep(l), tolerance=0)
-                expected = permutation_rep(extend_to_permutation(l))
-                gap = max(abs(extended.gens[key][0, 0] - expected.gens[key][0, 0])
-                          for key in expected.gens)
-                tracker.add(("point", k, n, list(l.values)), gap)
-    reports.append(tracker.report())
+    for k, n, l in _points(cfg["classical_n_max"]):
+        extended = quantum_extension(classical_point_rep(l), tolerance=0)
+        expected = permutation_rep(extend_to_permutation(l))
+        gap = max(abs(extended.gens[key][0, 0] - expected.gens[key][0, 0])
+                  for key in expected.gens)
+        tracker.add(("point", k, n, list(l.values)), gap)
+    yield tracker.report()
 
-    tracker = ResidualTracker(
-        "extension_magic_unitary", magic_tol,
-        params={"k": 2, "n": 4, "theta_count": cfg["theta_count"]}, seed=seed,
-    )
-    for theta in _angles(cfg["theta_count"], seed + 4):
-        extended = quantum_extension(two_projection_rep(theta))
-        tracker.add_report(("theta", theta), check_magic_unitary(extended, tolerance=magic_tol))
-    reports.append(tracker.report())
-    return reports
+    yield rollup("extension_magic_unitary", magic_tol,
+                 {"k": 2, "n": 4, "theta_count": cfg["theta_count"]}, seed,
+                 ((("theta", theta), check_magic_unitary(
+                     quantum_extension(two_projection_rep(theta)), tolerance=magic_tol))
+                  for theta in _angles(cfg["theta_count"], seed + 4)))
 
 
-def kernel_sum_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def kernel_sum_checks(config: dict, cache: MobiusCache):
     cfg = config["kernel_sums"]
     tol = config["tolerances"]["kernel_sums"]
     seed = config["seed"]
-    reports = []
 
-    tracker = ResidualTracker("kernel_sums_permutation_reps", 0,
-                              params={"n_max": cfg["n_max"], "m_max": cfg["m_max"]}, seed=seed)
-    for n in range(1, cfg["n_max"] + 1):
-        for perm in itertools.permutations(range(1, n + 1)):
-            tracker.add_report(("perm", list(perm)), check_kernel_sums(
-                permutation_rep(perm), cfg["m_max"], tolerance=0, cache=cache))
-    reports.append(tracker.report())
+    yield rollup("kernel_sums_permutation_reps", 0,
+                 {"n_max": cfg["n_max"], "m_max": cfg["m_max"]}, seed,
+                 ((("perm", list(perm)), check_kernel_sums(
+                     permutation_rep(perm), cfg["m_max"], tolerance=0, cache=cache))
+                  for n in range(1, cfg["n_max"] + 1)
+                  for perm in itertools.permutations(range(1, n + 1))))
 
     extended = quantum_extension(two_projection_rep(0.6))
-    reports.append(check_kernel_sums(extended, cfg["quantum_m_max"], tolerance=tol, cache=cache,
-                                     seed=seed).renamed("kernel_sums_extended_rep"))
-    return reports
+    yield check_kernel_sums(extended, cfg["quantum_m_max"], tolerance=tol, cache=cache,
+                            seed=seed).renamed("kernel_sums_extended_rep")
 
 
 def _broken_sequence(n: int) -> IndependentSequence:
@@ -445,9 +426,12 @@ def _broken_sequence(n: int) -> IndependentSequence:
     )
 
 
-def _negative_control(name: str, inner: CheckReport, seed: int) -> CheckReport:
-    """A meta-check that passes exactly when the inner check failed with a
-    witness: the checker must be able to reject a broken law."""
+def _negative_control(name: str, check, rep, n: int, tolerance, seed: int) -> CheckReport:
+    """A meta-check that passes exactly when ``check`` of ``rep`` failed with a
+    witness on the broken law of ``n`` indices: the checker must be able to
+    reject a broken law."""
+    inner = check(_broken_sequence(n), rep, suite_words(semicircular_law(), 2, 2),
+                  tolerance=tolerance, seed=seed)
     detected = (not inner.passed) and inner.witness is not None
     return CheckReport(
         check_name=name,
@@ -466,81 +450,66 @@ def _negative_control(name: str, inner: CheckReport, seed: int) -> CheckReport:
     )
 
 
-def exchangeable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def exchangeable_checks(config: dict, cache: MobiusCache):
     cfg = config["exchangeable"]
     tol = config["tolerances"]["exchangeable"]
     seed = config["seed"]
     seq = build_sequence(config["law"], seed + 5, cache)
-    reports = []
 
     words2 = suite_words(seq, max_targets=2, max_len=cfg["max_word_len"])
     if cfg["spot_length"] > cfg["max_word_len"]:
         words2 += spot_words(seq, 2, cfg["spot_length"], seed + 17)
     rep = two_point_rep(projection_pair(cfg["theta"])[1])
-    reports.append(check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
+    yield check_exchangeable(seq, rep, words2, tolerance=tol, seed=seed).renamed(
         "exchangeable_projection_rep", theta=cfg["theta"],
-        law=config["law"]["kind"]))
+        law=config["law"]["kind"])
 
-    tracker = ResidualTracker(
-        "exchangeable_permutation_reps", 0,
-        params={"n": 3, "max_word_len": min(cfg["max_word_len"], 3),
-                "law": config["law"]["kind"]},
-        seed=seed,
-    )
     words3 = suite_words(seq, max_targets=3, max_len=min(cfg["max_word_len"], 3))
-    for perm in itertools.permutations((1, 2, 3)):
-        tracker.add_report(("perm", list(perm)), check_exchangeable(
-            seq, permutation_rep(perm), words3, tolerance=tol, seed=seed))
-    reports.append(tracker.report())
+    yield rollup("exchangeable_permutation_reps", 0,
+                 {"n": 3, "max_word_len": min(cfg["max_word_len"], 3),
+                  "law": config["law"]["kind"]}, seed,
+                 ((("perm", list(perm)), check_exchangeable(
+                     seq, permutation_rep(perm), words3, tolerance=tol, seed=seed))
+                  for perm in itertools.permutations((1, 2, 3))))
 
     if cfg["include_extended"]:
         extended = quantum_extension(two_projection_rep(cfg["theta"]))
         words4 = suite_words(seq, max_targets=4, max_len=cfg["extended_word_len"])
-        reports.append(check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)
-                       .renamed("exchangeable_extended_rep", theta=cfg["theta"]))
+        yield (check_exchangeable(seq, extended, words4, tolerance=tol, seed=seed)
+               .renamed("exchangeable_extended_rep", theta=cfg["theta"]))
 
-    inner = check_exchangeable(
-        _broken_sequence(2), rep,
-        suite_words(semicircular_law(), 2, 2), tolerance=tol, seed=seed,
-    )
-    reports.append(_negative_control("exchangeable_negative_control", inner, seed))
-    return reports
+    yield _negative_control("exchangeable_negative_control", check_exchangeable, rep, 2, tol, seed)
 
 
-def spreadable_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def spreadable_checks(config: dict, cache: MobiusCache):
     cfg = config["spreadable"]
     tol = config["tolerances"]["spreadable"]
     seed = config["seed"]
     seq = build_sequence(config["law"], seed + 6, cache)
-    reports = []
 
     words = suite_words(seq, max_targets=2, max_len=cfg["max_word_len"])
-    reports.append(check_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
-                                    seed=seed)
-                   .renamed("spreadable_projection_family", theta=cfg["theta"]))
+    yield (check_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
+                            seed=seed)
+           .renamed("spreadable_projection_family", theta=cfg["theta"]))
 
     block = cfg["block"]
     rep = build_block_rep(block["k"], block["n"], block["dim"], seed + 7)
     words_k = suite_words(seq, max_targets=block["k"],
                           max_len=min(cfg["max_word_len"], 3))
-    reports.append(check_spreadable(seq, rep, words_k, tolerance=tol, seed=seed + 7)
-                   .renamed("spreadable_block_family", **block))
+    yield (check_spreadable(seq, rep, words_k, tolerance=tol, seed=seed + 7)
+           .renamed("spreadable_block_family", **block))
 
     pulled = quantum_extension(two_projection_rep(cfg["theta"]))
-    reports.append(check_exchangeable(
+    yield check_exchangeable(
         seq, pulled, suite_words(seq, 2, min(cfg["max_word_len"], 3)),
         tolerance=tol, seed=seed,
-    ).renamed("spreadable_via_extension_pullback", theta=cfg["theta"]))
+    ).renamed("spreadable_via_extension_pullback", theta=cfg["theta"])
 
-    inner = check_spreadable(
-        _broken_sequence(4), two_projection_rep(cfg["theta"]),
-        suite_words(semicircular_law(), 2, 2), tolerance=tol, seed=seed,
-    )
-    reports.append(_negative_control("spreadable_negative_control", inner, seed))
-    return reports
+    yield _negative_control("spreadable_negative_control", check_spreadable,
+                            two_projection_rep(cfg["theta"]), 4, tol, seed)
 
 
-def bvalued_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def bvalued_checks(config: dict, cache: MobiusCache):
     cfg = config["bvalued"]
     tol = config["tolerances"]["bvalued"]
     seed = config["seed"]
@@ -549,21 +518,19 @@ def bvalued_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
     words = random_insert_words(law, max_targets=2, max_len=cfg["max_word_len"],
                                 seed=seed + 9)
     words += [Word.plain(law, (1,) * m) for m in range(1, cfg["max_word_len"] + 1)]
-    return [check_bvalued_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
-                                     seed=seed)
-            .renamed("bvalued_spreadable_matrix_law", d=cfg["d"], D=cfg["D"])]
+    yield (check_bvalued_spreadable(seq, two_projection_rep(cfg["theta"]), words, tolerance=tol,
+                                    seed=seed)
+           .renamed("bvalued_spreadable_matrix_law", d=cfg["d"], D=cfg["D"]))
 
 
-def psi_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def psi_checks(config: dict, cache: MobiusCache):
     cfg = config["psi"]
     pos = config["positivity"]
-    return [
-        oracle_equivalence_sweep(cfg["k_max"], cfg["n_max"], cfg["m_max"], cache,
-                                 seed=config["seed"]),
-        state_positivity_evidence(pos["k"], pos["n"], pos["max_len"],
-                                  tolerance=config["tolerances"]["positivity"],
-                                  cache=cache, seed=config["seed"]),
-    ]
+    yield oracle_equivalence_sweep(cfg["k_max"], cfg["n_max"], cfg["m_max"], cache,
+                                   seed=config["seed"])
+    yield state_positivity_evidence(pos["k"], pos["n"], pos["max_len"],
+                                    tolerance=config["tolerances"]["positivity"],
+                                    cache=cache, seed=config["seed"])
 
 
 def _kernel_pattern_tuples(m: int, cache: MobiusCache) -> list[tuple[int, ...]]:
@@ -573,10 +540,9 @@ def _kernel_pattern_tuples(m: int, cache: MobiusCache) -> list[tuple[int, ...]]:
     return [tuple(label + 1 for label in p.rgs) for p in cache.all(m)]
 
 
-def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]:
+def reconstruction_checks(config: dict, cache: MobiusCache):
     cfg = config["reconstruction"]
     seed = config["seed"]
-    reports = []
 
     tracker = ResidualTracker(
         "combinatorial_unit_identity", 0,
@@ -591,7 +557,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
                         ("unit", [list(b) for b in tau.blocks], list(cols), n),
                         abs(value - 1),
                     )
-    reports.append(tracker.report())
+    yield tracker.report()
 
     for label, law in (
         ("scalar", semicircular_law()),
@@ -610,8 +576,7 @@ def reconstruction_checks(config: dict, cache: MobiusCache) -> list[CheckReport]
                 for n in range(1, cfg["n_max"] + 1):
                     got = finite_n_reconstruction(seq, word, n, cache)
                     tracker.add(("reconstruction", list(cols), n), law.residual(got, direct))
-        reports.append(tracker.report())
-    return reports
+        yield tracker.report()
 
 
 SUITE_SECTIONS = (
@@ -633,10 +598,10 @@ def run_section(name: str, config: dict, cache: MobiusCache) -> list[CheckReport
     for section, runner in SUITE_SECTIONS:
         if section == name:
             try:
-                return runner(config, cache)
-            except Exception as exc:  # surface as a structured report
-                return [error_report(f"{name}_suite", {"section": name}, str(exc),
-                                     seed=config.get("seed"))]
+                return list(runner(config, cache))
+            except Exception as exc:  # the section's one report, whatever it yielded before
+                return [CheckReport(f"{name}_suite", {"section": name, "error": str(exc)},
+                                    status="error", max_residual=None, seed=config.get("seed"))]
     raise ValueError(f"unknown suite section {name!r}")
 
 
@@ -645,9 +610,6 @@ def run_all(config: dict) -> list[CheckReport]:
     reports: list[CheckReport] = []
     for section, _ in SUITE_SECTIONS:
         reports.extend(run_section(section, config, cache))
-    # runtime_ms must stay out of the ordering key so identical configs give
-    # identically ordered streams
-    return sorted(
-        reports,
-        key=lambda r: (r.check_name, json.dumps(r.params, sort_keys=True, default=str)),
-    )
+    # check names are unique in a stream, and runtime_ms stays out of the key,
+    # so identical configs give identically ordered streams
+    return sorted(reports, key=lambda r: r.check_name)

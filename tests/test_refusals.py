@@ -24,6 +24,7 @@ from qspread.moments import (
 )
 from qspread.partitions import (
     GroundSetError, MobiusCache, Partition, enumerate_all, enumerate_nc, kernel, meet,
+    zeta_inverse_table,
 )
 from qspread.qis import (
     IncreasingSequence,
@@ -50,6 +51,15 @@ def _not_magic() -> Representation:
 
 def _empty_rep(kind: str, k: int, n: int) -> Representation:
     return Representation(kind=kind, k=k, n=n, gens={}, dim=1)
+
+
+def _zero_pivot_cache() -> MobiusCache:
+    # the order matrix of NC(3) with its first partition not below itself
+    cache = MobiusCache()
+    order = cache.order(3).copy()
+    order[0, 0] = False
+    cache.order = lambda m: order
+    return cache
 
 
 REFUSALS = [
@@ -96,6 +106,8 @@ REFUSALS = [
      ValueError, "m must be >= 0, got -1"),
     ("cache-all-negative", lambda: MobiusCache().all(-1),
      ValueError, "m must be >= 0, got -1"),
+    ("zeta-pivot-not-one", lambda: zeta_inverse_table(3, _zero_pivot_cache()),
+     ArithmeticError, "has pivot 0 in column 0, not 1"),
     ("increasing-k-above-n", lambda: IncreasingSequence(3, 2, (1, 2, 3)),
      ValueError, "need 1 <= k <= n, got k=3 n=2"),
     ("increasing-value-count", lambda: IncreasingSequence(2, 3, (1,)),
