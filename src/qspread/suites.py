@@ -597,11 +597,14 @@ SUITE_SECTIONS = (
 def run_section(name: str, config: dict, cache: MobiusCache) -> list[CheckReport]:
     for section, runner in SUITE_SECTIONS:
         if section == name:
+            reports: list[CheckReport] = []
             try:
-                return list(runner(config, cache))
-            except Exception as exc:  # the section's one report, whatever it yielded before
-                return [CheckReport(f"{name}_suite", {"section": name, "error": str(exc)},
-                                    status="error", max_residual=None, seed=config.get("seed"))]
+                reports.extend(runner(config, cache))
+            except Exception as exc:  # after the reports the section yielded before it
+                reports.append(CheckReport(f"{name}_suite", {"section": name, "error": str(exc)},
+                                           status="error", max_residual=None,
+                                           seed=config.get("seed")))
+            return reports
     raise ValueError(f"unknown suite section {name!r}")
 
 

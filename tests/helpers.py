@@ -1,14 +1,17 @@
 """Helpers that only the tests need: the inverse of ``cli.rep_from_json``,
 the convolution of two permutation-kind families (the executable
 comultiplication), the composition of permutations that it stands for, and
-three differential oracles.  ``_fold``, the kernel-constrained sum at one
+four differential oracles.  ``_fold``, the kernel-constrained sum at one
 target tuple, skips the rows where a generator is exactly zero on the exact
 backend only: the oracle of ``invariance._stack``.
 ``every_product_relations_report`` forms every product of a relation check,
 on both backends: the oracle of ``qis._relations_report``, which skips the
 products with a zero factor.  ``_extend_nc_strings`` builds the RGS strings
 of NC(m) as tuples, one label at a time: the oracle of the byte-string
-enumerator in ``partitions``."""
+enumerator in ``partitions``.  ``enumerated_oracle_sweep`` runs both state
+routes on every in-band query at every k that reaches it: the oracle of
+``weingarten.oracle_equivalence_sweep``, which runs them once per distinct
+query."""
 from __future__ import annotations
 
 import functools
@@ -18,9 +21,10 @@ import operator
 
 import numpy as np
 
+from qspread import weingarten
 from qspread.linalg import dagger, is_exact, residual_norm
 from qspread.qis import DEFAULT_REP_TOLERANCE, Representation
-from qspread.reports import ResidualTracker, budget
+from qspread.reports import CheckReport, ResidualTracker, budget
 
 
 def rep_to_json_dict(rep: Representation) -> dict:
@@ -182,3 +186,33 @@ def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
                     out.append(tuple(rgs[:-1]))
         strings.append(out)
     return strings
+
+
+def enumerated_oracle_sweep(k_max: int, n_max: int, m_max: int, cache,
+                            seed: int | None = None) -> CheckReport:
+    """``weingarten.oracle_equivalence_sweep`` with no gap reused: the closed
+    form and the freeness oracle run on each in-band query at every k that
+    reaches it, with the same cases in the same order.  The routes are read
+    from the module, so a monkeypatched fault reaches both sweeps."""
+    tracker = ResidualTracker("state_oracle_equivalence", 0,
+                              params={"k_max": k_max, "n_max": n_max, "m_max": m_max},
+                              seed=seed)
+    for k in range(1, k_max + 1):
+        for n in range(1, n_max + 1):
+            for m in range(1, m_max + 1):
+                for cols in itertools.product(range(1, k + 1), repeat=m):
+                    bands = [range((j - 1) * n + 1, j * n + 1) for j in cols]
+                    for rows in itertools.product(*bands):
+                        psi = weingarten.block_state_moment(rows, cols, n, cache)
+                        oracle = weingarten.free_projection_oracle(rows, cols, n, cache)
+                        tracker.add(("query", k, n, rows, cols),
+                                    0 if psi == oracle else abs(psi - oracle))
+    for k in range(1, min(k_max, 3) + 1):
+        for n in range(1, min(n_max, 3) + 1):
+            for m in range(1, min(m_max, 2) + 1):
+                for cols in itertools.product(range(1, k + 1), repeat=m):
+                    for rows in itertools.product(range(1, k * n + 1), repeat=m):
+                        if weingarten._band_offsets(rows, cols, n) is None:
+                            tracker.add(("off-band", k, n, rows, cols),
+                                        abs(weingarten.block_state_moment(rows, cols, n, cache)))
+    return tracker.report()

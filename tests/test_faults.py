@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from qspread import invariance, linalg, moments, qis, qperm, suites, weingarten
+from qspread import invariance, linalg, moments, partitions, qis, qperm, suites, weingarten
 from qspread.moments import IndependentSequence, Word
-from qspread.partitions import MobiusCache, kernel
+from qspread.partitions import MobiusCache, catalan, kernel
 from qspread.suites import merge_config, run_section
 
 INVARIANCE = ("exchangeable", "spreadable", "bvalued")
@@ -90,6 +90,29 @@ def _q_scaled(pair):
     return fault
 
 
+def _negated_on_covering_pairs_at_four(mobius):
+    def fault(cache, sigma, pi):
+        value = mobius(cache, sigma, pi)
+        return -value if sigma.m == 4 and sigma.size() == pi.size() + 1 else value
+    return fault
+
+
+def _one_string_of_nine_lost(extend):
+    def fault(strings, m):
+        strings = extend(strings, m)
+        if len(strings) > 9 and len(strings[9]) == catalan(9):
+            strings[9].pop()
+        return strings
+    return fault
+
+
+def _two_value_bands_scaled(band_weights):
+    def fault(cols, tau, n, cache):
+        for band, weight in band_weights(cols, tau, n, cache):
+            yield band, weight * Fraction(10, 9) if len(set(band)) == 2 else weight
+    return fault
+
+
 def _fails_dimension_two_of_four(check):
     def fault(rep, tolerance=None, seed=None):
         report = check(rep, tolerance, seed)
@@ -142,6 +165,19 @@ FAULTS = [
       "exchangeable_suite", "spreadable_suite", "bvalued_suite"}),
     ("magic-unitary-fails-dimension-two-of-four", (qperm, suites), "check_magic_unitary",
      _fails_dimension_two_of_four, ("extension",), {"extension_magic_unitary"}),
+    ("mobius-negated-on-covering-pairs-at-four", (MobiusCache,), "mobius",
+     _negated_on_covering_pairs_at_four,
+     ("mobius", "roundtrip", "exchangeable", "spreadable", "psi", "reconstruction"),
+     {"combinatorial_unit_identity", "mobius_identity", "mobius_zeta_table",
+      "moment_cumulant_roundtrip_matrix", "moment_cumulant_roundtrip_scalar",
+      "state_oracle_equivalence"}),
+    # every section builds NC(m) through it, but only nc reaches m = 9
+    ("nc-strings-lose-one-of-nine", (partitions,), "_extend_nc_strings",
+     _one_string_of_nine_lost, ("nc",), {"nc_counts"}),
+    # finite_reconstruction_scalar is an expected miss of this row
+    ("band-weights-scaled-at-two-value-bands", (weingarten,), "_band_weights",
+     _two_value_bands_scaled, ("reconstruction",),
+     {"combinatorial_unit_identity", "finite_reconstruction_matrix"}),
 ]
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qspread import weingarten
 from qspread.moments import (
     FreeSequence, IndependentSequence, Word, free_iid_moment, random_rational_matrix_law,
     semicircular_law,
@@ -13,7 +14,7 @@ from qspread.moments import (
 from qspread.partitions import (
     MobiusCache, OrderError, Partition, kernel, kernel_rgs, leq, meet,
 )
-from qspread.reports import EXACT_ZERO
+from qspread.reports import EXACT_ZERO, ResidualTracker
 from qspread.suites import (
     DEFAULT_CONFIG, _broken_sequence, _kernel_pattern_tuples, merge_config, run_section,
 )
@@ -27,6 +28,9 @@ from qspread.weingarten import (
     reconstruction_weight,
     state_positivity_evidence,
 )
+
+from helpers import enumerated_oracle_sweep
+from test_faults import _plus_one_from_three_labels
 
 CACHE = MobiusCache()
 
@@ -128,6 +132,60 @@ class TestOracle:
         report = oracle_equivalence_sweep(2, 2, 4, CACHE)
         assert report.passed
         assert report.max_residual == EXACT_ZERO
+
+
+def _plus_seventh_at_one_query(oracle):
+    return lambda rows, cols, n, cache: oracle(rows, cols, n, cache) + (
+        Fraction(1, 7) if (rows, cols) == ((1, 3, 2), (1, 2, 1)) else 0)
+
+
+class TestSweepReuse:
+    """The sweep runs each distinct query once and re-adds its gap at every
+    larger k; the enumerated sweep, which runs every (k, query), is its
+    oracle, unpatched and under a fault in either route."""
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 4), (3, 2, 3)])
+    @pytest.mark.parametrize("name, fault", [
+        (None, None),
+        ("_column_cumulant", _plus_one_from_three_labels),
+        ("free_projection_oracle", _plus_seventh_at_one_query),
+    ], ids=["unpatched", "column-cumulant", "oracle-at-one-query"])
+    def test_matches_enumerated_sweep(self, sizes, name, fault, monkeypatch):
+        if fault is not None:
+            monkeypatch.setattr(weingarten, name, fault(getattr(weingarten, name)))
+        cases, add = [], ResidualTracker.add
+
+        def record(tracker, witness, residual):
+            cases.append((witness, residual))
+            add(tracker, witness, residual)
+
+        monkeypatch.setattr(ResidualTracker, "add", record)
+        reports, streams = [], []
+        for sweep in (oracle_equivalence_sweep, enumerated_oracle_sweep):
+            cases.clear()
+            reports.append(sweep(*sizes, MobiusCache()).to_json_dict())
+            reports[-1].pop("runtime_ms")
+            streams.append(list(cases))
+        # every case with its residual, not only the worst one a report keeps
+        assert streams[0] == streams[1]
+        assert reports[0] == reports[1]
+        assert reports[0]["status"] == ("pass" if fault is None else "fail")
+
+    def test_route_calls_and_cases_at_the_benchmark_shape(self, monkeypatch):
+        calls = {"block_state_moment": 0, "free_projection_oracle": 0, "cases": 0}
+
+        def counted(name, function):
+            def spy(*args):
+                calls[name] += 1
+                return function(*args)
+            return spy
+
+        for name in ("block_state_moment", "free_projection_oracle"):
+            monkeypatch.setattr(weingarten, name, counted(name, getattr(weingarten, name)))
+        monkeypatch.setattr(ResidualTracker, "add", counted("cases", ResidualTracker.add))
+        assert oracle_equivalence_sweep(3, 2, 5, MobiusCache()).passed
+        assert calls == {"block_state_moment": 10_137, "free_projection_oracle": 9_693,
+                         "cases": 11_630}
 
 
 class TestReconstructionWeight:
