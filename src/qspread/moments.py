@@ -119,13 +119,7 @@ class ScalarLaw:
 
 def semicircular_law() -> ScalarLaw:
     """Standard semicircular moments: Catalan numbers at even orders."""
-    moments: list[Fraction] = []
-    for p in range(CATALAN_CAP + 1):
-        if p % 2:
-            moments.append(Fraction(0))
-        else:
-            moments.append(Fraction(catalan(p // 2)))
-    return ScalarLaw(moments)
+    return ScalarLaw([0 if p % 2 else catalan(p // 2) for p in range(CATALAN_CAP + 1)])
 
 
 class MatrixLaw:

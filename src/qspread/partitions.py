@@ -217,22 +217,19 @@ def enumerate_nc(m: int) -> list[Partition]:
     choosing the block of the least element and filling the gaps it leaves,
     so nothing is enumerated and thrown away (see ``_extend_nc_strings``).
     """
-    return list(map(Partition._of, _extend_nc_strings([[()]], m)[m]))
+    return list(map(Partition._of, map(tuple, _extend_nc_strings([[b""]], m)[m])))
 
 
-def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
-    """Extend ``strings``, the RGS lists of NC(0), NC(1), ..., up to NC(m):
-    for each choice of the mates of 1 (by number, then lexicographically),
+def _extend_nc_strings(levels: list[list[bytes]], m: int) -> list[list[bytes]]:
+    """Extend ``levels``, the RGS lists of NC(0), NC(1), ..., in place up to
+    NC(m): for each choice of the mates of 1 (by number, then lexicographically),
     the product of the gaps' lists, each gap's labels shifted past the blocks
-    already placed, so blocks come out by increasing minimum.  Built as bytes
-    (labels stay below ``nc.m_max``), a gap shifted by one ``translate``."""
+    already placed, so blocks come out by increasing minimum.  Each RGS is a
+    ``bytes`` (labels stay below ``nc.m_max``), a gap shifted by one ``translate``."""
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if m > (limit := budget("nc.m_max")):
         raise ValueError(f"m={m} exceeds enumeration limit {limit}")
-    if len(strings) > m:
-        return strings
-    levels = [list(map(bytes, level)) for level in strings]
     shifts = [bytes(range(top, 256)) + bytes(top) for top in range(m + 1)]  # label -> label + top
     while len(levels) <= m:
         size, out = len(levels), []
@@ -245,8 +242,7 @@ def _extend_nc_strings(strings: list[list[tuple[int, ...]]], m: int) -> list:
                                 for shift in (shifts[max(prefix) + 1],) for sub in levels[b - a - 1]]
                 out += [prefix[:-1] for prefix in prefixes]
         levels.append(out)
-        strings.append(list(map(tuple, out)))
-    return strings
+    return levels
 
 
 def catalan(m: int) -> int:
@@ -256,18 +252,19 @@ def catalan(m: int) -> int:
 
 class MobiusCache:
     """The one context object, for NC(m) with m up to the ``nc.m_max`` budget:
-    NC(m) per m, built from the RGS strings of the smaller sizes, with its
-    tables and, for m <= ORDER_M_MAX, its order matrix; P(m) per m; per RGS,
-    the NC elements below a partition (crossing or not) in the order of
-    NC(m); the Mobius memo; the state memos of ``weingarten``; and the
-    kernel-sum tables of ``invariance``, one per (k, m) for every family.
+    the RGS strings of NC(m) per m, as ``bytes`` only, each size built from the
+    smaller ones; NC(m) as partitions, made from its strings when asked for; its
+    tables and, for m <= ORDER_M_MAX, its order matrix; P(m) per m; per RGS, the
+    NC elements below a partition (crossing or not) in the order of NC(m); the
+    Mobius memo; the state memos of ``weingarten``; and the kernel-sum tables of
+    ``invariance``, one per (k, m) for every family.
 
     Fill is single-threaded on demand; afterwards reads are lookups into
     plain dicts and arrays, safe to share.
     """
 
     def __init__(self):
-        self._strings: list[list[tuple[int, ...]]] = [[()]]  # RGS of NC(0), NC(1), ...
+        self._strings: list[list[bytes]] = [[b""]]  # RGS of NC(0), NC(1), ..., as bytes
         self._nc: dict[int, tuple[Partition, ...]] = {}
         self._all: dict[int, tuple[Partition, ...]] = {}
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -281,8 +278,8 @@ class MobiusCache:
     def nc(self, m: int) -> tuple[Partition, ...]:
         """The non-crossing partitions of {1..m} (cached)."""
         if m not in self._nc:
-            _extend_nc_strings(self._strings, m)
-            self._nc[m] = tuple(map(Partition._of, self._strings[m]))
+            level = _extend_nc_strings(self._strings, m)[m]
+            self._nc[m] = tuple(map(Partition._of, map(tuple, level)))
         return self._nc[m]
 
     def count(self, m: int) -> int:
@@ -300,8 +297,8 @@ class MobiusCache:
         (N, m) and 0-based."""
         table = self._tables.get(m)
         if table is None:
-            self.nc(m)
-            rgs = np.array(self._strings[m], dtype=np.int8)
+            level = _extend_nc_strings(self._strings, m)[m]
+            rgs = np.frombuffer(b"".join(level), np.int8).reshape(len(level), m)
             first = (rgs[:, :, None] == rgs[:, None, :]).argmax(axis=2) if m else rgs
             table = self._tables[m] = (rgs, first)
         return table

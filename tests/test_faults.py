@@ -14,8 +14,8 @@ import pytest
 
 from qspread import invariance, linalg, moments, partitions, qis, qperm, suites, weingarten
 from qspread.moments import IndependentSequence, Word
-from qspread.partitions import MobiusCache, catalan, kernel
-from qspread.suites import merge_config, run_section
+from qspread.partitions import MobiusCache, Partition, catalan, kernel
+from qspread.suites import merge_config, run_all, run_section
 
 INVARIANCE = ("exchangeable", "spreadable", "bvalued")
 
@@ -113,6 +113,36 @@ def _two_value_bands_scaled(band_weights):
     return fault
 
 
+def _bottom_plus_one_at_five(oracle):
+    def fault(m, cache):
+        column = oracle(m, cache)
+        if m == 5:
+            column[Partition.singletons(5)] += 1
+        return column
+    return fault
+
+
+def _eight_sevenths_at_two(reconstruction):
+    return lambda seq, word, n, cache: reconstruction(seq, word, n, cache) * (
+        Fraction(8, 7) if n == 2 else 1)
+
+
+def _fourth_row_doubled_on_square_four(column_rows):
+    def fault(rep):
+        rows = column_rows(rep)
+        if rep.n == rep.k == 4:
+            rows[3] = {j: 2 * g for j, g in rows[3].items()}
+        return rows
+    return fault
+
+
+def _last_projection_scaled(pvm):
+    def fault(size, dim, seed):
+        projections = pvm(size, dim, seed)
+        return projections[:-1] + [1.001 * projections[-1]]
+    return fault
+
+
 def _fails_dimension_two_of_four(check):
     def fault(rep, tolerance=None, seed=None):
         report = check(rep, tolerance, seed)
@@ -178,6 +208,16 @@ FAULTS = [
     ("band-weights-scaled-at-two-value-bands", (weingarten,), "_band_weights",
      _two_value_bands_scaled, ("reconstruction",),
      {"combinatorial_unit_identity", "finite_reconstruction_matrix"}),
+    ("column-oracle-bottom-plus-one-at-five", (partitions, suites), "mobius_column_oracle",
+     _bottom_plus_one_at_five, ("mobius",), {"mobius_column_oracle"}),
+    ("finite-reconstruction-eight-sevenths-at-two", (weingarten, suites),
+     "finite_n_reconstruction", _eight_sevenths_at_two, ("reconstruction",),
+     {"finite_reconstruction_scalar", "finite_reconstruction_matrix"}),
+    ("fourth-row-doubled-on-square-families-of-four", (invariance,), "_column_rows",
+     _fourth_row_doubled_on_square_four, INVARIANCE,
+     {"exchangeable_extended_rep", "spreadable_via_extension_pullback"}),
+    ("pvm-last-projection-scaled", (linalg, qis), "random_pvm", _last_projection_scaled,
+     ("relations", "spreadable"), {"increasing_relations_block_family", "spreadable_suite"}),
 ]
 
 
@@ -190,3 +230,9 @@ def test_fault_is_caught_by_exactly(owners, name, fault, sections, failing, monk
     config, cache = merge_config({}), MobiusCache()
     reports = [r for section in sections for r in run_section(section, config, cache)]
     assert {r.check_name for r in reports if r.status in ("fail", "error")} == failing
+
+
+def test_every_default_report_has_a_detector():
+    detected = set().union(*(row[-1] for row in FAULTS))
+    names = [r.check_name for r in run_all(merge_config({}))]
+    assert len(names) == 27 and set(names) <= detected, sorted(set(names) - detected)

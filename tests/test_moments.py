@@ -8,6 +8,7 @@ import pytest
 
 from qspread.linalg import residual_norm
 from qspread.moments import (
+    CATALAN_CAP,
     FreeSequence,
     IndependentSequence,
     ScalarLaw,
@@ -22,7 +23,7 @@ from qspread.moments import (
     semicircular_law,
 )
 from qspread import moments
-from qspread.partitions import MobiusCache, Partition, enumerate_all, kernel
+from qspread.partitions import MobiusCache, Partition, catalan, enumerate_all, kernel
 
 CACHE = MobiusCache()
 
@@ -105,6 +106,15 @@ class TestLaws:
     def test_semicircular_moments(self):
         law = semicircular_law()
         assert law.moments[:7] == [1, 0, 1, 0, 2, 0, 5]
+
+    def test_semicircular_moments_are_the_catalan_ints(self):
+        law = semicircular_law()
+        assert len(law.moments) == CATALAN_CAP + 1 and law.exact
+        for p, value in enumerate(law.moments):
+            assert type(value) is int, p
+            assert value == (0 if p % 2 else catalan(p // 2)), p
+        # the unit and zero stay Fractions, so every product keeps its backend
+        assert type(law.unit()) is Fraction and type(law.zero()) is Fraction
 
     def test_matrix_law_zero_variables(self):
         law = random_matrix_law(2, 2, seed=0)

@@ -27,6 +27,7 @@ from qspread.partitions import (
     OrderError,
     Partition,
     _extend_nc_strings,
+    catalan,
     enumerate_all,
     enumerate_nc,
     kernel,
@@ -253,6 +254,10 @@ class TestTablesAgainstScans:
                    for key in ("mobius_m_max", "zeta_m_max", "column_m_max")) <= ORDER_M_MAX
 
 
+def as_tuples(levels: list[list[bytes]]) -> list[list[tuple[int, ...]]]:
+    return [list(map(tuple, level)) for level in levels]
+
+
 class TestByteEnumeratorAgainstTuples:
     """The byte-string enumerator against the tuple-string one it replaced:
     the same strings in the same order, up to one size below the cap."""
@@ -261,23 +266,32 @@ class TestByteEnumeratorAgainstTuples:
 
     def test_one_call_per_size(self):
         for m in range(0, self.M_MAX + 1):
-            assert _extend_nc_strings([[()]], m) == tuple_nc_strings([[()]], m), m
+            assert as_tuples(_extend_nc_strings([[b""]], m)) == tuple_nc_strings([[()]], m), m
 
     def test_size_by_size_as_the_cache_builds(self):
-        built, oracle = [[()]], [[()]]
+        built, oracle = [[b""]], [[()]]
         for m in range(0, self.M_MAX + 1):
             assert _extend_nc_strings(built, m) is built
-            assert built == tuple_nc_strings(oracle, m), m
-            assert all(type(rgs) is tuple for rgs in built[m])
+            assert as_tuples(built) == tuple_nc_strings(oracle, m), m
+            assert all(type(rgs) is bytes for rgs in built[m])
         # a size already built returns at once, with nothing appended
         assert _extend_nc_strings(built, 3) is built and len(built) == self.M_MAX + 1
 
     def test_tables_are_the_tables_of_the_tuple_strings(self):
-        cache, oracle = MobiusCache(), MobiusCache()
-        oracle._strings = tuple_nc_strings([[()]], self.M_MAX)
+        cache, strings = MobiusCache(), tuple_nc_strings([[()]], self.M_MAX)
         for m in range(0, self.M_MAX + 1):
-            for got, want in zip(cache._table(m), oracle._table(m)):
-                assert got.dtype == want.dtype and np.array_equal(got, want), m
+            rgs = np.array(strings[m], dtype=np.int8)
+            first = np.array([[r.index(label) for label in r] for r in strings[m]])
+            got_rgs, got_first = cache._table(m)
+            assert got_rgs.dtype == rgs.dtype and np.array_equal(got_rgs, rgs), m
+            assert np.array_equal(got_first, first), m
+
+    def test_the_cache_keeps_one_form_of_nc(self):
+        cache, m_max = MobiusCache(), budget("nc.m_max")
+        assert cache.count(m_max) == catalan(m_max)
+        assert len(cache._strings) == m_max + 1
+        assert all(type(rgs) is bytes for level in cache._strings for rgs in level)
+        assert not cache._nc
 
 
 def recursive_mobius(s: Partition, p: Partition, cache: MobiusCache, memo: dict) -> int:
